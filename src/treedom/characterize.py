@@ -5,12 +5,16 @@ co-independent domination number equals n minus the independence number,
 and the upper bound when it equals n minus the number of leaves.  The lower
 family has an operational characterization: exactly the trees reachable
 from P_4 by attachment operations O1-O4 applied at vertices lying in
-suitable optimal sets.  decompose_to_p4 finds such an operation sequence by
-peeling reducible configurations off the tree; verify_certificate replays
-it forward and checks every precondition.  The upper family has a purely
-structural characterization: structural_upper_bound_check tests the
-condition as the paper states it, which is necessary but not sufficient,
-and upper_family_check tests the corrected condition, which is exact.
+suitable optimal sets.  decompose_to_p4 finds such an operation sequence
+with the proof's case analysis alone, peeling one validated configuration
+at a time down to P_4; verify_certificate replays a certificate forward and
+checks every precondition, and decompose_to_p4 runs it on each certificate
+before returning it.  A member on which no move applies would be a defect
+in the moves, not a counterexample, and raises InternalError (no tree of
+order <= 18 does).  The upper family has a purely structural
+characterization: structural_upper_bound_check tests the condition as the
+paper states it, which is necessary but not sufficient, and
+upper_family_check tests the corrected condition, which is exact.
 """
 
 from __future__ import annotations
@@ -35,23 +39,28 @@ from .trees import (
 )
 
 
-def _require_diameter(tree):
-    if diameter(tree) < 3:
+def _require_diameter(d):
+    if d < 3:
         raise UndefinedInvariantError(
             "extremal family membership is defined only for trees of diameter >= 3"
         )
 
 
+def _lower_bound_holds(tree):
+    return invariant_value(tree, "tcoi") == tree.n - invariant_value(tree, "beta")
+
+
 def attains_lower_bound(tree):
     """True iff the total co-independent domination number equals n - beta."""
-    _require_diameter(tree)
-    return invariant_value(tree, "tcoi") == tree.n - invariant_value(tree, "beta")
+    _require_diameter(diameter(tree))
+    return _lower_bound_holds(tree)
 
 
 def attains_upper_bound(tree):
     """True iff the total co-independent domination number equals n - #leaves."""
-    _require_diameter(tree)
-    return invariant_value(tree, "tcoi") == tree.n - len(structure(tree).leaves)
+    rep = structure(tree)
+    _require_diameter(rep.diameter)
+    return invariant_value(tree, "tcoi") == tree.n - len(rep.leaves)
 
 
 def structural_upper_bound_check(tree):
@@ -63,8 +72,8 @@ def structural_upper_bound_check(tree):
     first at order 9 (the 8-path with a pendant on a middle vertex), so it
     is necessary and not sufficient.  upper_family_check is the exact test.
     """
-    _require_diameter(tree)
     rep = structure(tree)
+    _require_diameter(rep.diameter)
     covered = rep.leaves | rep.supports | rep.semi_supports
     if len(covered) != tree.n:
         return False
@@ -88,8 +97,8 @@ def upper_family_check(tree):
     D-neighbor other than x, and the map is injective because u determines
     x; so |I| <= |L| and tcoi >= n - |L|.
     """
-    _require_diameter(tree)
     rep = structure(tree)
+    _require_diameter(rep.diameter)
     leaves = rep.leaves
     inner_degree = [
         sum(1 for w in tree.adj[u] if w not in leaves) for u in range(tree.n)
@@ -112,14 +121,14 @@ class Certificate:
 
     Replaying the steps from the path 0-1-2-3 yields a tree whose canonical
     code is final_code; every step's attachment precondition holds in the
-    intermediate tree it is applied to.  used_fallback records that the
-    structured decomposition dead-ended and backtracking search finished
-    the job (never expected in practice).
+    intermediate tree it is applied to.
     """
 
     steps: tuple
     final_code: bytes
-    used_fallback: bool = False
+    # Always False: certificates come only from the proof moves, which have
+    # no fallback.  Kept as a constant because bench/layers.py reads it.
+    used_fallback = False
 
 
 def certificate_to_text(cert):
@@ -191,18 +200,10 @@ class _Reduction:
     attach: int
 
 
-def _is_member(tree):
-    return (
-        tree.n >= 4
-        and diameter(tree) >= 3
-        and invariant_value(tree, "tcoi") == tree.n - invariant_value(tree, "beta")
-    )
-
-
 def _validated(tree, red):
     """Check that a reduction peels cleanly: the remainder is a tree of
     diameter >= 3 that still attains the lower bound, and the forward
-    precondition holds at the attachment vertex.  Returns (subtree,
+    precondition holds at the attachment vertex.  Returns (red, subtree,
     old_to_new) or None."""
     if red.attach in red.removed:
         return None
@@ -210,11 +211,11 @@ def _validated(tree, red):
         sub, old_to_new = tree.without(red.removed)
     except TreedomError:
         return None
-    if sub.n < 4 or not _is_member(sub):
+    if diameter(sub) < 3 or not _lower_bound_holds(sub):
         return None
     if not in_some_optimal_set(sub, old_to_new[red.attach], OP_PRECONDITION[red.kind]):
         return None
-    return sub, old_to_new
+    return red, sub, old_to_new
 
 
 def _leaf_neighbors(tree, v, leaves):
@@ -222,9 +223,10 @@ def _leaf_neighbors(tree, v, leaves):
 
 
 def _q_chain_move(tree, rep, v, s, h):
-    """Reduction for the caterpillar configuration hanging at semi-support v:
-    follow the support chain from s and peel its far end (reverse O2), or,
-    for a one-link chain, peel the whole 4-vertex piece as a reverse O4."""
+    """Validated peel for the caterpillar configuration hanging at
+    semi-support v: follow the support chain from s and peel its far end
+    (reverse O2), or, for a one-link chain, peel the whole 4-vertex piece as
+    a reverse O4."""
     supports, leaves = rep.supports, rep.leaves
     chain = [s]
     prev = None
@@ -238,9 +240,7 @@ def _q_chain_move(tree, rep, v, s, h):
         sr, srm1 = chain[-1], chain[-2]
         hr_list = _leaf_neighbors(tree, sr, leaves)
         if hr_list and set(tree.adj[sr]) == {srm1, hr_list[0]}:
-            red = _Reduction("O2", (sr, hr_list[0]), srm1)
-            if _validated(tree, red):
-                return red
+            return _validated(tree, _Reduction("O2", (sr, hr_list[0]), srm1))
         return None
     # one-link chain: s - s1
     s1 = chain[1]
@@ -249,13 +249,10 @@ def _q_chain_move(tree, rep, v, s, h):
         return None
     h1 = h1_list[0]
     if set(tree.adj[s1]) == {s, h1}:
-        red = _Reduction("O2", (s1, h1), s)
-        if _validated(tree, red):
-            return red
-        if set(tree.adj[s]) == {h, v, s1}:
-            red = _Reduction("O4", (h, s, s1, h1), v)
-            if _validated(tree, red):
-                return red
+        peel = _validated(tree, _Reduction("O2", (s1, h1), s))
+        if peel is None and set(tree.adj[s]) == {h, v, s1}:
+            peel = _validated(tree, _Reduction("O4", (h, s, s1, h1), v))
+        return peel
     return None
 
 
@@ -280,7 +277,8 @@ def _select_triple(tree, rep, dm):
 
 
 def _proof_move(tree):
-    """The structured reduction for a lower-bound member with n > 4.
+    """The structured reduction for a lower-bound member with n > 4, as the
+    validated (reduction, subtree, old_to_new) of _validated, or None.
 
     Case order: a support with two leaves loses one (reverse O1); with no
     semi-supports, an end support of the support subtree comes off with its
@@ -295,8 +293,7 @@ def _proof_move(tree):
         for v in sorted(supports):
             lv = _leaf_neighbors(tree, v, leaves)
             if len(lv) >= 2:
-                red = _Reduction("O1", (lv[0],), v)
-                return red if _validated(tree, red) else None
+                return _validated(tree, _Reduction("O1", (lv[0],), v))
         return None
 
     if not semi:
@@ -311,8 +308,7 @@ def _proof_move(tree):
                 continue
             lv = _leaf_neighbors(tree, s, leaves)
             if len(lv) == 1 and set(tree.adj[s]) == {lv[0], x}:
-                red = _Reduction("O2", (s, lv[0]), x)
-                return red if _validated(tree, red) else None
+                return _validated(tree, _Reduction("O2", (s, lv[0]), x))
         return None
 
     dm = distance_matrix(tree)
@@ -330,16 +326,14 @@ def _proof_move(tree):
         return None
     v_sup = [w for w in tree.adj[v] if w in supports]
     if len(v_sup) > 1:
-        red = _Reduction("O2", (s, h), v)
-        return red if _validated(tree, red) else None
+        return _validated(tree, _Reduction("O2", (s, h), v))
     if tree.degree(v) != 2:
         return None
     # walk two more steps toward h2
     p = next(w for w in tree.adj[v] if dm[w][h2] == dm[v][h2] - 1)
     q = next(w for w in tree.adj[p] if dm[w][h2] == dm[p][h2] - 1)
     if set(tree.adj[p]) == {v, q}:
-        red = _Reduction("O3", (p, v, s, h), q)
-        return red if _validated(tree, red) else None
+        return _validated(tree, _Reduction("O3", (p, v, s, h), q))
     for w in sorted(set(tree.adj[p]) - {v, q}):
         if w in supports:
             wl = _leaf_neighbors(tree, w, leaves)
@@ -348,135 +342,51 @@ def _proof_move(tree):
     return None
 
 
-def _candidate_reductions(tree):
-    """Every way the tree could have arisen by one operation: each leaf
-    (O1), pendant 2-path (O2), pendant 4-path (O3), and pendant 4-vertex
-    branch (O4)."""
-    deg = [tree.degree(x) for x in range(tree.n)]
-    reds = []
-    for h in range(tree.n):
-        if deg[h] != 1:
-            continue
-        reds.append(_Reduction("O1", (h,), tree.adj[h][0]))
-        u1 = tree.adj[h][0]
-        if deg[u1] == 2:
-            att = next(w for w in tree.adj[u1] if w != h)
-            reds.append(_Reduction("O2", (u1, h), att))
-            if deg[att] == 2:
-                x3 = att
-                x4 = next(w for w in tree.adj[x3] if w != u1)
-                if deg[x4] == 2:
-                    att2 = next(w for w in tree.adj[x4] if w != x3)
-                    reds.append(_Reduction("O3", (x4, x3, u1, h), att2))
-    for a in range(tree.n):
-        if deg[a] != 3:
-            continue
-        for h1 in tree.adj[a]:
-            if deg[h1] != 1:
-                continue
-            for u2 in tree.adj[a]:
-                if u2 == h1 or deg[u2] != 2:
-                    continue
-                h2 = next(w for w in tree.adj[u2] if w != a)
-                if deg[h2] != 1:
-                    continue
-                att = next(w for w in tree.adj[a] if w not in (h1, u2))
-                reds.append(_Reduction("O4", (h1, a, u2, h2), att))
-    reds.sort(key=lambda r: (r.kind, r.removed, r.attach))
-    return reds
-
-
-def _search(tree, to_orig, failed):
-    """Backtracking over all reductions; returns reductions in original
-    labels, or None.  failed memoizes dead isomorphism classes."""
-    if tree.n == 4:
-        return [] if diameter(tree) == 3 else None
-    code = canonical_code(tree)
-    if code in failed:
-        return None
-    for red in _candidate_reductions(tree):
-        val = _validated(tree, red)
-        if val is None:
-            continue
-        sub, old_to_new = val
-        sub_to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
-        rest = _search(sub, sub_to_orig, failed)
-        if rest is not None:
-            first = _Reduction(
-                red.kind,
-                tuple(to_orig[x] for x in red.removed),
-                to_orig[red.attach],
-            )
-            return [first] + rest
-    failed.add(code)
-    return None
-
-
-def _forward_certificate(tree, reductions, used_fallback):
-    removed_all = {x for r in reductions for x in r.removed}
-    base_orig = [v for v in range(tree.n) if v not in removed_all]
-    if len(base_orig) != 4:
-        raise InternalError("decomposition did not end at 4 vertices")
-    base_set = set(base_orig)
-    base_adj = {
-        v: [w for w in tree.adj[v] if w in base_set] for v in base_orig
-    }
-    ends = sorted(v for v in base_orig if len(base_adj[v]) == 1)
-    if len(ends) != 2:
-        raise InternalError("decomposition did not end at a path")
-    order = [ends[0]]
+def _forward_certificate(tree, base, base_to_orig, reductions):
+    """Turn the peels (outermost first, in the tree's labels) into forward
+    steps from the P_4 base they ended at, and check the result by replay."""
+    order = [min(v for v in range(4) if len(base.adj[v]) == 1)]
     while len(order) < 4:
-        order.append(
-            next(w for w in base_adj[order[-1]] if w not in order)
-        )
-    phi = {orig: i for i, orig in enumerate(order)}
-    cur = path(4)
+        order.append(next(w for w in base.adj[order[-1]] if w not in order))
+    phi = {base_to_orig[b]: i for i, b in enumerate(order)}
+    n = 4
     steps = []
     for red in reversed(reductions):
-        labels = tuple(range(cur.n, cur.n + len(red.removed)))
-        for orig, fwd in zip(red.removed, labels):
-            phi[orig] = fwd
-        step = OperationStep(red.kind, phi[red.attach], labels)
-        try:
-            cur = apply_operation(cur, step)
-        except TreedomError as exc:
-            raise InternalError(f"forward replay rejected a peeled step: {exc}") from exc
-        steps.append(step)
-    code = canonical_code(cur)
-    if code != canonical_code(tree):
-        raise InternalError("forward replay did not reproduce the input tree")
-    return Certificate(tuple(steps), code, used_fallback)
+        labels = tuple(range(n, n + len(red.removed)))
+        phi.update(zip(red.removed, labels))
+        steps.append(OperationStep(red.kind, phi[red.attach], labels))
+        n += len(labels)
+    cert = Certificate(tuple(steps), canonical_code(tree))
+    try:
+        verify_certificate(cert, tree)
+    except TreedomError as exc:
+        raise InternalError(f"peeled certificate does not replay: {exc}") from exc
+    return cert
 
 
 def decompose_to_p4(tree):
     """Find an operation certificate rebuilding the tree from P_4.
 
-    Returns None when the tree does not attain the lower bound (or when no
-    operation sequence exists, which the characterization rules out).  The
-    structured case analysis is tried first; if it ever dead-ends the
-    certificate is completed by exhaustive backtracking and flagged via
-    used_fallback.
+    Returns None when the tree does not attain the lower bound.  Otherwise
+    the proof's case analysis (_proof_move) peels one validated operation
+    at a time down to P_4, and the certificate is checked by
+    verify_certificate before it is returned.  There is no fallback search:
+    a member on which no proof move applies, or a certificate that does not
+    replay, is a defect in the moves and raises InternalError.
     """
-    _require_diameter(tree)
-    if not _is_member(tree):
+    _require_diameter(diameter(tree))
+    if not _lower_bound_holds(tree):
         return None
     reductions = []
-    used_fallback = False
     cur = tree
     to_orig = {v: v for v in range(tree.n)}
     while cur.n > 4:
-        red = _proof_move(cur)
-        if red is None:
-            rest = _search(cur, to_orig, set())
-            if rest is None:
-                return None
-            reductions.extend(rest)
-            used_fallback = True
-            break
-        val = _validated(cur, red)
-        if val is None:
-            raise InternalError("proof move failed re-validation")
-        sub, old_to_new = val
+        peel = _proof_move(cur)
+        if peel is None:
+            raise InternalError(
+                f"no proof move applies to a lower-bound member of order {cur.n}"
+            )
+        red, sub, old_to_new = peel
         reductions.append(
             _Reduction(
                 red.kind,
@@ -486,7 +396,7 @@ def decompose_to_p4(tree):
         )
         to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
         cur = sub
-    return _forward_certificate(tree, reductions, used_fallback)
+    return _forward_certificate(tree, cur, to_orig, reductions)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +408,7 @@ def exhaustive_sequence_search(tree, max_len=3):
     """All distinct operation-kind sequences of length <= max_len that build
     a tree isomorphic to the given one from P_4, each realized by some
     choice of attachment vertices."""
-    _require_diameter(tree)
+    _require_diameter(diameter(tree))
     target_code = canonical_code(tree)
     target_n = tree.n
     reach = [{0}]

@@ -15,7 +15,7 @@ import sys
 
 from . import census as census_mod
 from . import characterize, generators, solvers, trees
-from .errors import InternalError, TreedomError
+from .errors import InternalError, ParseError, TreedomError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -24,11 +24,14 @@ EXIT_INTERNAL = 3
 
 
 def _read_tree(path, fmt):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"input {path!r} is not ASCII text") from None
     if fmt is None:
         fmt = "graph6" if path.endswith(".g6") else "edgelist"
     if fmt == "graph6":

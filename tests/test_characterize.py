@@ -6,6 +6,7 @@ from treedom import (
     Certificate,
     CertificateMismatchError,
     FamilyFSpec,
+    InternalError,
     InvalidStepError,
     OperationStep,
     Tree,
@@ -24,12 +25,15 @@ from treedom import (
     is_independent_set,
     path,
     random_tree,
+    serialize_edge_list,
     star,
     structural_upper_bound_check,
     structure,
     upper_family_check,
     verify_certificate,
 )
+from treedom import characterize
+from treedom.cli import main
 
 
 def figure_tree(which):
@@ -203,6 +207,31 @@ class TestDecompose:
             for step in cert.steps:
                 cur = apply_operation(cur, step)
                 assert attains_lower_bound(cur)
+
+    def test_dead_end_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # there is no fallback search: a member on which no proof move
+        # applies is a defect and must surface, also as CLI exit code 3
+        t = figure_tree(1)
+        monkeypatch.setattr(characterize, "_proof_move", lambda tree: None)
+        with pytest.raises(InternalError):
+            decompose_to_p4(t)
+        f = tmp_path / "t.txt"
+        f.write_text(serialize_edge_list(t))
+        assert main(["certify", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_each_peel_validated_once(self, monkeypatch):
+        calls = []
+        real = characterize.in_some_optimal_set
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(characterize, "in_some_optimal_set", counting)
+        cert = decompose_to_p4(double_star(3, 3))
+        assert len(cert.steps) == 4
+        assert len(calls) == len(cert.steps)
 
     def test_families_coincide_iff_leaves_attain_beta(self, wide_trees):
         for t in wide_trees(4, 12):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import treedom
 from treedom import (
     certificate_from_text,
     double_star,
@@ -136,6 +140,12 @@ class TestGenerate:
         b = capsys.readouterr().out
         assert a == b
 
+    def test_graph6_output_capped(self, capsys):
+        rc = main(["generate", "path", "--n", "4097", "--to", "graph6"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "--to edgelist" in captured.err
+
     def test_bad_parameter(self, capsys):
         rc = main(["generate", "qr", "--r", "1"])
         assert rc == 2
@@ -184,3 +194,27 @@ class TestUsageErrors:
         p = tmp_path / "bad.txt"
         p.write_text("0 1\n1 2\n2 0\n")
         assert main(["compute", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "args,data",
+        [
+            (["compute", "FILE"], "0 1\n2 \u00e9\n"),
+            # an Arabic-Indic zero, which int() would read as 0
+            (["compute", "-"], "\u0660 1\n1 2\n"),
+        ],
+        ids=["file", "stdin"],
+    )
+    def test_non_ascii_input(self, tmp_path, args, data):
+        # run as a process so an uncaught decode error shows as a traceback
+        p = tmp_path / "t.txt"
+        p.write_text(data, encoding="utf-8")
+        args = [str(p) if a == "FILE" else a for a in args]
+        src = os.path.dirname(os.path.dirname(treedom.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        r = subprocess.run(
+            [sys.executable, "-m", "treedom.cli", *args],
+            input=data.encode("utf-8"), capture_output=True, env=env, timeout=60,
+        )
+        assert r.returncode == 2
+        assert r.stderr.startswith(b"error:")
+        assert b"Traceback" not in r.stderr

@@ -8,6 +8,7 @@ from treedom import (
     EmptyInputError,
     NotATreeError,
     ParseError,
+    TooLargeError,
     Tree,
     VertexOutOfRangeError,
     canonical_code,
@@ -26,6 +27,7 @@ from treedom import (
     star,
     structure,
 )
+from treedom.trees import GRAPH6_MAX_N
 from conftest import trees_of_order
 
 
@@ -86,7 +88,9 @@ class TestEdgeListFormat:
         with pytest.raises(NotATreeError):
             parse_edge_list("0 1\n1 0")
 
-    @pytest.mark.parametrize("text", ["0", "0 1 2", "a b", "0 -1"])
+    @pytest.mark.parametrize(
+        "text", ["0", "0 1 2", "a b", "0 -1", "\u0660 1\n1 2\n"]
+    )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
             parse_edge_list(text)
@@ -117,6 +121,15 @@ class TestGraph6:
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
             parse_graph6("")
+
+    @pytest.mark.parametrize("data", ["C\u00e9", b"C\xc3\xa9", "\u00a0Ch"])
+    def test_non_ascii_rejected(self, data):
+        with pytest.raises(ParseError):
+            parse_graph6(data)
+
+    def test_output_capped(self):
+        with pytest.raises(TooLargeError, match="--to edgelist"):
+            serialize_graph6(path(GRAPH6_MAX_N + 1))
 
     def test_round_trip(self):
         for n in range(1, 10):
