@@ -3,9 +3,11 @@ domination on trees.
 
 Each invariant has two independent routes:
 
-* a linear dynamic program over the tree rooted at vertex 0, with optional
-  per-vertex "forced in/out" constraints (used for witness reconstruction
-  and for membership-in-some-optimal-set queries), and
+* a linear dynamic program over the tree rooted at vertex 0 that optimizes
+  the total of per-vertex weights (unit weights give the value; weights
+  that encode vertex positions give the witness, and weights that single
+  out one vertex answer membership-in-some-optimal-set, each in one pass),
+  and
 * a brute-force oracle that enumerates every subset as a bit mask and
   evaluates the defining predicate directly (vectorized with numpy).
 
@@ -27,9 +29,11 @@ from .errors import (
 )
 from .trees import VertexSet
 
-_INF = 1 << 40
-
 BRUTE_FORCE_CAP = 20
+# Witness weights have n bits, so a witness pass holds O(n^2) bits: at this
+# order invariant_report peaks near 300 MB and takes 1.3 s (CPython 3.11,
+# 2 cores), and 10^5 vertices would need gigabytes.
+WITNESS_MAX_N = 20000
 _CHUNK = 1 << 16
 
 
@@ -109,63 +113,51 @@ def _rooted_children(tree):
     return order, children
 
 
-def _beta_opt(tree, forced_in=(), forced_out=()):
-    """Maximum independent set size, or None if the constraints clash."""
+def _beta_opt(tree, weight):
+    """Maximum total weight of an independent set."""
     n = tree.n
     order, children = _rooted_children(tree)
-    fin, fout = set(forced_in), set(forced_out)
     dp_in = [0] * n
     dp_out = [0] * n
     for v in reversed(order):
-        best_in = 1 if v not in fout else -_INF
-        best_out = 0 if v not in fin else -_INF
-        for c in children[v]:
-            best_in += dp_out[c]
-            best_out += max(dp_in[c], dp_out[c])
-            best_in = max(best_in, -_INF)
-            best_out = max(best_out, -_INF)
-        dp_in[v], dp_out[v] = best_in, best_out
-    ans = max(dp_in[0], dp_out[0])
-    return None if ans < 0 else ans
+        dp_in[v] = weight[v] + sum(dp_out[c] for c in children[v])
+        dp_out[v] = sum(max(dp_in[c], dp_out[c]) for c in children[v])
+    return max(dp_in[0], dp_out[0])
 
 
-def _gamma_t_opt(tree, forced_in=(), forced_out=()):
-    """Minimum total dominating set size, or None if infeasible.
+def _gamma_t_opt(tree, weight):
+    """Minimum total weight of a total dominating set, or None if infeasible.
 
     Per-vertex states, parent contribution excluded:
     a = in set & dominated by a child, b = in set & not yet dominated,
     c = out & dominated, d = out & not yet dominated.
     """
     n = tree.n
+    inf = sum(weight) + 1
     order, children = _rooted_children(tree)
-    fin, fout = set(forced_in), set(forced_out)
     st = [None] * n
     for v in reversed(order):
-        a, b = _INF, 1
-        c, d = _INF, 0
-        if v in fin:
-            c = d = _INF
-        if v in fout:
-            a = b = _INF
+        a, b = inf, weight[v]
+        c, d = inf, 0
         for ch in children[v]:
             ca, cb, cc, cd = st[ch]
             in_any = min(ca, cb, cc, cd)
             in_dset = min(ca, cb)
             a, b = (
-                min(a + in_any, b + in_dset, _INF),
-                min(b + min(cc, cd), _INF),
+                min(a + in_any, b + in_dset, inf),
+                min(b + min(cc, cd), inf),
             )
             c, d = (
-                min(c + min(ca, cc), d + ca, _INF),
-                min(d + cc, _INF),
+                min(c + min(ca, cc), d + ca, inf),
+                min(d + cc, inf),
             )
         st[v] = (a, b, c, d)
     ans = min(st[0][0], st[0][2])
-    return None if ans >= _INF else ans
+    return None if ans >= inf else ans
 
 
-def _tcoi_opt(tree, forced_in=(), forced_out=()):
-    """Minimum total co-independent dominating set size, or None.
+def _tcoi_opt(tree, weight):
+    """Minimum total weight of a total co-independent dominating set, or None.
 
     Per-vertex states: (in set, dominated?, subtree-has-out-vertex?) for
     members, plus a single "out" state (an out vertex forces all its
@@ -173,36 +165,32 @@ def _tcoi_opt(tree, forced_in=(), forced_out=()):
     itself contributes the required out-vertex).
     """
     n = tree.n
+    inf = sum(weight) + 1
     order, children = _rooted_children(tree)
-    fin, fout = set(forced_in), set(forced_out)
     st = [None] * n
     for v in reversed(order):
         # a0/a1: in & dominated, without/with an out vertex below
         # b0/b1: in & undominated, likewise; o: v itself out
-        a0 = a1 = _INF
-        b0, b1 = 1, _INF
+        a0 = a1 = inf
+        b0, b1 = weight[v], inf
         o = 0
-        if v in fin:
-            o = _INF
-        if v in fout:
-            b0 = _INF
         for ch in children[v]:
             ca0, ca1, cb0, cb1, co = st[ch]
             in_t0 = min(ca0, cb0)
             in_t1 = min(ca1, cb1)
             any_t1 = min(in_t1, co)
             any_t0 = in_t0
-            na0 = min(a0 + any_t0, b0 + in_t0, _INF)
-            na1 = min(a1 + min(any_t0, any_t1), a0 + any_t1, b1 + min(in_t0, in_t1), b0 + in_t1, _INF)
+            na0 = min(a0 + any_t0, b0 + in_t0, inf)
+            na1 = min(a1 + min(any_t0, any_t1), a0 + any_t1, b1 + min(in_t0, in_t1), b0 + in_t1, inf)
             # b-state keeps "no child in set": only out children qualify,
             # and an out child always carries the out flag
-            nb1 = min(b1 + co, b0 + co, _INF)
-            no = min(o + min(ca0, ca1), _INF)
-            a0, a1, b0, b1, o = na0, na1, _INF, nb1, no
+            nb1 = min(b1 + co, b0 + co, inf)
+            no = min(o + min(ca0, ca1), inf)
+            a0, a1, b0, b1, o = na0, na1, inf, nb1, no
         st[v] = (a0, a1, b0, b1, o)
     a0, a1, b0, b1, o = st[0]
-    ans = min(a1, o if n >= 2 else _INF)
-    return None if ans >= _INF else ans
+    ans = min(a1, o if n >= 2 else inf)
+    return None if ans >= inf else ans
 
 
 _DP = {"beta": _beta_opt, "gamma_t": _gamma_t_opt, "tcoi": _tcoi_opt}
@@ -217,26 +205,43 @@ def _check_defined(tree, which):
         )
 
 
-def _dp_value(tree, which, forced_in=(), forced_out=()):
-    return _DP[which](tree, forced_in, forced_out)
-
-
 def _dp_witness(tree, which):
-    """Lexicographically smallest optimal set, by greedy forcing from 0."""
-    base = _dp_value(tree, which)
-    forced_in, forced_out = [], []
-    for v in range(tree.n):
-        if _dp_value(tree, which, forced_in + [v], forced_out) == base:
-            forced_in.append(v)
-        else:
-            forced_out.append(v)
-    return base, frozenset(forced_in)
+    """(value, lexicographically smallest optimal set) from one weighted DP.
+
+    Vertex v weighs 2^n + 2^(n-1-v) for beta (maximized) and
+    2^n - 2^(n-1-v) for gamma_t and tcoi (minimized).  A set S then weighs
+    |S| * 2^n +/- m(S), where m(S) is the n-bit mask with vertex v at bit
+    n-1-v, and 0 <= m(S) < 2^n.  So the optimum first optimizes |S| and,
+    among sets of optimal size, maximizes m(S).
+
+    For two distinct sets A, B of equal size, let v be the smallest vertex
+    in exactly one of them, say A.  Both share every member below v, so
+    A's sorted list has v where B's has a larger vertex: A sorts first.
+    A also has the larger mask, because bit n-1-v is the highest bit in
+    which the masks differ.  Hence the largest m(S) among optimal sets
+    belongs to the lexicographically smallest sorted list, and the optimum
+    encodes it: |S| = total >> n for beta, ceil(total / 2^n) otherwise
+    (m(S) > 0 there, as the set is non-empty), and m(S) is
+    +/-(total - |S| * 2^n).
+
+    The weights have n bits, so the pass takes O(n^2) bit operations and
+    memory; above WITNESS_MAX_N vertices it raises TooLargeError.
+    """
+    n = tree.n
+    if n > WITNESS_MAX_N:
+        raise TooLargeError(f"witnesses capped at {WITNESS_MAX_N} vertices, got {n}")
+    top = 1 << n
+    sign = 1 if which == "beta" else -1
+    total = _DP[which](tree, [top + sign * (1 << (n - 1 - v)) for v in range(n)])
+    size = total >> n if which == "beta" else -(-total >> n)
+    bits = format(sign * (total - size * top), f"0{n}b")
+    return size, frozenset(v for v, b in enumerate(bits) if b == "1")
 
 
 def invariant_value(tree, which):
     """Value of one invariant without witness reconstruction (faster)."""
     _check_defined(tree, which)
-    val = _dp_value(tree, which)
+    val = _DP[which](tree, [1] * tree.n)
     if val is None:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
     return val
@@ -269,8 +274,12 @@ def in_some_optimal_set(tree, v, which):
         raise ValueError(f"unsupported invariant {which!r}")
     tree._check_vertex(v)
     _check_defined(tree, which)
-    base = _dp_value(tree, which)
-    return _dp_value(tree, which, forced_in=(v,)) == base
+    # A set S weighs 2|S|, plus 1 (beta) or minus 1 (tcoi) if it holds v.
+    # Only sets of optimal size reach the weighted optimum, so the optimum
+    # is odd iff some optimal set holds v.
+    weight = [2] * tree.n
+    weight[v] = 3 if which == "beta" else 1
+    return _DP[which](tree, weight) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,97 +310,52 @@ def _mask_valid(tree, arr, which, nb):
     return ok
 
 
-def _bit_reversed(arr, n):
-    rev = np.zeros(arr.shape, dtype=np.uint64)
-    for i in range(n):
-        rev |= ((arr >> np.uint64(i)) & np.uint64(1)) << np.uint64(n - 1 - i)
-    return rev
-
-
-def _scan_best(tree, which):
-    """(value, mask) over all subsets, ties broken to the lexicographically
-    smallest sorted vertex list."""
+def _valid_masks(tree, which, cap):
+    """Ascending uint64 array of every subset mask (vertex v at bit v) that
+    satisfies the invariant's defining predicate, built in chunks of
+    _CHUNK masks so that memory follows the hits, not 2^n."""
     n = tree.n
+    if n > cap:
+        raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
+    _check_defined(tree, which)
     nb = _neighbor_masks(tree)
-    maximize = which == "beta"
-    best = None  # (size, rev, mask)
+    hits = []
     for lo in range(0, 1 << n, _CHUNK):
         arr = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint64)
-        ok = _mask_valid(tree, arr, which, nb)
-        cand = arr[ok]
-        if cand.size == 0:
-            continue
-        sizes = np.bitwise_count(cand)
-        target = sizes.max() if maximize else sizes.min()
-        if best is not None:
-            if maximize and target < best[0]:
-                continue
-            if not maximize and target > best[0]:
-                continue
-        tied = cand[sizes == target]
-        revs = _bit_reversed(tied, n)
-        k = int(np.argmax(revs))
-        entry = (int(target), int(revs[k]), int(tied[k]))
-        if (
-            best is None
-            or (maximize and entry[0] > best[0])
-            or (not maximize and entry[0] < best[0])
-            or (entry[0] == best[0] and entry[1] > best[1])
-        ):
-            best = entry
-    if best is None:
-        return None
-    return best[0], frozenset(v for v in range(n) if best[2] >> v & 1)
+        hits.append(arr[_mask_valid(tree, arr, which, nb)])
+    return np.concatenate(hits)
+
+
+def _mask_sets(masks, n):
+    return [frozenset(v for v in range(n) if int(m) >> v & 1) for m in masks]
 
 
 def brute_force(tree, which, cap=BRUTE_FORCE_CAP):
     """Exact optimum by checking the defining predicate on every subset.
 
     Independent of the dynamic programs; this is the oracle the DP results
-    are validated against.
+    are validated against.  The witness is the lexicographically smallest
+    optimal set, as for the DP.
     """
     if which not in _DP:
         raise ValueError(f"unknown invariant {which!r}")
-    if tree.n > cap:
-        raise TooLargeError(f"brute force capped at {cap} vertices, got {tree.n}")
-    _check_defined(tree, which)
-    result = _scan_best(tree, which)
-    if result is None:
-        raise UndefinedInvariantError(f"no feasible set exists for {which}")
-    return result
+    best = optimal_sets(tree, which, cap)[0]
+    return len(best), best
 
 
 def optimal_sets(tree, which, cap=16):
     """Every optimal set for the invariant, as sorted frozensets."""
-    if tree.n > cap:
-        raise TooLargeError(f"optimal-set enumeration capped at {cap} vertices")
-    _check_defined(tree, which)
-    n = tree.n
-    nb = _neighbor_masks(tree)
-    arr = np.arange(1 << n, dtype=np.uint64)
-    ok = _mask_valid(tree, arr, which, nb)
-    cand = arr[ok]
-    if cand.size == 0:
+    masks = _valid_masks(tree, which, cap)
+    if masks.size == 0:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
-    sizes = np.bitwise_count(cand)
+    sizes = np.bitwise_count(masks)
     target = sizes.max() if which == "beta" else sizes.min()
-    hits = cand[sizes == target]
-    out = [frozenset(v for v in range(n) if int(m) >> v & 1) for m in hits]
-    return sorted(out, key=sorted)
+    return sorted(_mask_sets(masks[sizes == target], tree.n), key=sorted)
 
 
 def all_tcoi_sets(tree, cap=16):
     """Every total co-independent dominating set of the tree (any size)."""
-    if tree.n > cap:
-        raise TooLargeError(f"tcoi-set enumeration capped at {cap} vertices")
-    _check_defined(tree, "tcoi")
-    n = tree.n
-    nb = _neighbor_masks(tree)
-    arr = np.arange(1 << n, dtype=np.uint64)
-    ok = _mask_valid(tree, arr, "tcoi", nb)
-    return [
-        frozenset(v for v in range(n) if int(m) >> v & 1) for m in arr[ok]
-    ]
+    return _mask_sets(_valid_masks(tree, "tcoi", cap), tree.n)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def parse_edge_list(text):
 
     Lines starting with '#' and blank lines are ignored.  Vertex ids must be
     dense 0..n-1 (a gap shows up as a disconnected vertex and is rejected).
-    Input must be ASCII: int() would otherwise read other scripts' digits.
+    Input must be ASCII and ids plain digit strings: int() would otherwise
+    read other scripts' digits, signs and underscores.
     """
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -154,13 +155,9 @@ def parse_edge_list(text):
         parts = line.split()
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: expected two vertex ids, got {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id in {raw!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex id in {raw!r}")
-        edges.append((u, v))
+        if not (parts[0].isdigit() and parts[1].isdigit()):
+            raise ParseError(f"line {lineno}: non-integer vertex id in {raw!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise EmptyInputError("no edges in input")
     return Tree.from_edges(edges)

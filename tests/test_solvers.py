@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from treedom import (
@@ -18,11 +20,17 @@ from treedom import (
     is_tcoi_set,
     is_total_dominating_set,
     optimal_sets,
+    invariant_value,
     path,
+    random_tree,
+    serialize_edge_list,
+    solvers,
     star,
     tcoi_number,
     total_domination_number,
 )
+from treedom.cli import main
+from treedom.solvers import WITNESS_MAX_N
 
 
 def t11():
@@ -204,3 +212,77 @@ class TestInvariantReport:
     def test_k1(self):
         d = invariant_report(Tree(1)).to_json_dict()
         assert d["beta"] == 1 and d["gamma_t"] is None
+
+
+def relabeled_random_tree(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return random_tree(n, seed).relabeled(dict(enumerate(perm)))
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """Count the calls made to the weighted DPs."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "_DP", {k: counting(f) for k, f in solvers._DP.items()})
+    return calls
+
+
+class TestOnePass:
+    @pytest.mark.parametrize(
+        "solver", [independence_number, total_domination_number, tcoi_number]
+    )
+    def test_witness(self, dp_calls, solver):
+        solver(random_tree(30, 1))
+        assert len(dp_calls) == 1
+
+    @pytest.mark.parametrize("which", ["beta", "tcoi"])
+    def test_membership(self, dp_calls, which):
+        in_some_optimal_set(random_tree(30, 1), 5, which)
+        assert len(dp_calls) == 1
+
+
+class TestBeyondCorpus:
+    TREES = [relabeled_random_tree(15 + seed % 6, seed) for seed in range(20)]
+
+    def test_witnesses_match_brute_force(self):
+        for t in self.TREES:
+            assert independence_number(t) == brute_force(t, "beta")
+            assert total_domination_number(t) == brute_force(t, "gamma_t")
+            assert tcoi_number(t) == brute_force(t, "tcoi")
+
+    def test_membership_matches_enumeration(self):
+        for t in self.TREES:
+            if t.n > 16:
+                continue
+            for which in ("beta", "tcoi"):
+                opt = optimal_sets(t, which)
+                for v in range(t.n):
+                    assert in_some_optimal_set(t, v, which) == any(v in w for w in opt)
+
+
+class TestWitnessCap:
+    def test_witness_refused_before_dp(self, dp_calls):
+        with pytest.raises(TooLargeError, match=str(WITNESS_MAX_N)):
+            tcoi_number(path(WITNESS_MAX_N + 1))
+        assert dp_calls == []
+
+    def test_value_uncapped(self):
+        # tcoi(P_n) = floor(2n/3), checked against the oracle on short paths
+        for n in range(3, 13):
+            assert brute_force(path(n), "tcoi")[0] == 2 * n // 3
+        n = WITNESS_MAX_N + 1
+        assert invariant_value(path(n), "tcoi") == 2 * n // 3
+
+    def test_compute_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "long.txt"
+        p.write_text(serialize_edge_list(path(WITNESS_MAX_N + 1)))
+        assert main(["compute", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -89,7 +89,8 @@ class TestEdgeListFormat:
             parse_edge_list("0 1\n1 0")
 
     @pytest.mark.parametrize(
-        "text", ["0", "0 1 2", "a b", "0 -1", "\u0660 1\n1 2\n"]
+        "text",
+        ["0", "0 1 2", "a b", "0 -1", "\u0660 1\n1 2\n", "0 +1", "0 1_0", "1 0_2\n0 1"],
     )
     def test_malformed(self, text):
         with pytest.raises(ParseError):
