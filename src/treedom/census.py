@@ -12,12 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .characterize import (
-    attains_lower_bound,
-    attains_upper_bound,
-    decompose_to_p4,
-    structural_upper_bound_check,
-)
+from .characterize import decompose_to_p4, structural_upper_bound_check
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
     all_tcoi_sets,
@@ -69,13 +64,13 @@ def _tree_from_levels(seq):
     return Tree(n, tuple(edges))
 
 
-def enumerate_trees(n, cap=ENUMERATION_CAP):
+def enumerate_trees(n):
     """One representative per isomorphism class of trees on n vertices, in
-    deterministic order."""
+    deterministic order (capped at ENUMERATION_CAP vertices)."""
     if n < 1:
         raise BadParameterError("need n >= 1")
-    if n > cap:
-        raise TooLargeError(f"enumeration capped at {cap} vertices, got {n}")
+    if n > ENUMERATION_CAP:
+        raise TooLargeError(f"enumeration capped at {ENUMERATION_CAP} vertices, got {n}")
     out = []
     seen = set()
     for seq in _level_sequences(n):
@@ -115,10 +110,10 @@ def classify(tree):
     tcoi = invariant_value(tree, "tcoi") if tree.n >= 3 else None
     in_beta = in_l = structural = certified = None
     if rep.diameter >= 3:
-        in_beta = attains_lower_bound(tree)
-        in_l = attains_upper_bound(tree)
+        in_beta = tcoi == tree.n - beta
+        in_l = tcoi == tree.n - len(rep.leaves)
         structural = structural_upper_bound_check(tree)
-        certified = decompose_to_p4(tree) is not None
+        certified = in_beta and decompose_to_p4(tree) is not None
     return CensusRecord(
         canon=canonical_code(tree),
         n=tree.n,
@@ -192,7 +187,7 @@ _COUNTER_NAMES = (
 )
 
 
-def run_census(max_n, cap=ENUMERATION_CAP):
+def run_census(max_n):
     """Classify every tree with 3 <= n <= max_n and verify the theorems.
 
     Returns (records, report).  The report counts, over all trees of
@@ -202,8 +197,8 @@ def run_census(max_n, cap=ENUMERATION_CAP):
     bound.  The distance remark is checked for n <= 12 and minimality
     agreement for n <= 10 (subset-exhaustive; see check_* functions).
     """
-    if max_n > cap:
-        raise TooLargeError(f"census capped at {cap} vertices, got {max_n}")
+    if max_n > ENUMERATION_CAP:
+        raise TooLargeError(f"census capped at {ENUMERATION_CAP} vertices, got {max_n}")
     records = []
     counters = {name: 0 for name in _COUNTER_NAMES}
     first = None
@@ -215,7 +210,7 @@ def run_census(max_n, cap=ENUMERATION_CAP):
             first = {"check": name, "n": tree.n, "canon": canonical_code(tree).hex()}
 
     for n in range(3, max_n + 1):
-        for tree in enumerate_trees(n, cap=cap):
+        for tree in enumerate_trees(n):
             rec = classify(tree)
             records.append(rec)
             if rec.diameter >= 3:

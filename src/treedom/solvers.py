@@ -3,11 +3,11 @@ domination on trees.
 
 Each invariant has two independent routes:
 
-* a linear dynamic program over the tree rooted at vertex 0 that optimizes
-  the total of per-vertex weights (unit weights give the value; weights
-  that encode vertex positions give the witness, and weights that single
-  out one vertex answer membership-in-some-optimal-set, each in one pass),
-  and
+* a linear dynamic program along the BFS order from vertex 0 that Tree
+  keeps, optimizing the total of per-vertex weights (unit weights give the
+  value; weights that encode vertex positions give the witness, and
+  weights that single out one vertex answer membership-in-some-optimal-set,
+  each in one pass), and
 * a brute-force oracle that enumerates every subset as a bit mask and
   evaluates the defining predicate directly (vectorized with numpy).
 
@@ -30,9 +30,12 @@ from .errors import (
 from .trees import VertexSet
 
 BRUTE_FORCE_CAP = 20
-# Witness weights have n bits, so a witness pass holds O(n^2) bits: at this
-# order invariant_report peaks near 300 MB and takes 1.3 s (CPython 3.11,
-# 2 cores), and 10^5 vertices would need gigabytes.
+# optimal_sets and all_tcoi_sets return every set they find, so their cap is
+# lower than the oracle's
+SUBSET_CAP = 16
+# Witness weights have n bits, so a witness pass takes O(n^2) bit operations
+# and holds O(n^2) bits: at this order invariant_report on a path peaks near
+# 90 MB max RSS and takes about 0.8 s (CPython 3.11, 2 cores).
 WITNESS_MAX_N = 20000
 _CHUNK = 1 << 16
 
@@ -95,33 +98,23 @@ def is_minimal_tcoi_set(tree, members):
 
 # ---------------------------------------------------------------------------
 # Rooted dynamic programs (root = vertex 0)
+#
+# Each DP starts every vertex at its childless state and walks tree.order
+# in reverse, folding each vertex's finished state into its parent's and
+# then dropping it.  The root is folded into last, so st[0] ends as the
+# whole tree's state.
 # ---------------------------------------------------------------------------
-
-
-def _rooted_children(tree):
-    parent = [-2] * tree.n
-    parent[0] = -1
-    order = [0]
-    for u in order:
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
-    children = [[] for _ in range(tree.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    return order, children
 
 
 def _beta_opt(tree, weight):
     """Maximum total weight of an independent set."""
-    n = tree.n
-    order, children = _rooted_children(tree)
-    dp_in = [0] * n
-    dp_out = [0] * n
-    for v in reversed(order):
-        dp_in[v] = weight[v] + sum(dp_out[c] for c in children[v])
-        dp_out[v] = sum(max(dp_in[c], dp_out[c]) for c in children[v])
+    dp_in = list(weight)
+    dp_out = [0] * tree.n
+    for v in tree.order[:0:-1]:
+        p = tree.parent[v]
+        dp_in[p] += dp_out[v]
+        dp_out[p] += max(dp_in[v], dp_out[v])
+        dp_in[v] = dp_out[v] = None
     return max(dp_in[0], dp_out[0])
 
 
@@ -132,26 +125,21 @@ def _gamma_t_opt(tree, weight):
     a = in set & dominated by a child, b = in set & not yet dominated,
     c = out & dominated, d = out & not yet dominated.
     """
-    n = tree.n
     inf = sum(weight) + 1
-    order, children = _rooted_children(tree)
-    st = [None] * n
-    for v in reversed(order):
-        a, b = inf, weight[v]
-        c, d = inf, 0
-        for ch in children[v]:
-            ca, cb, cc, cd = st[ch]
-            in_any = min(ca, cb, cc, cd)
-            in_dset = min(ca, cb)
-            a, b = (
-                min(a + in_any, b + in_dset, inf),
-                min(b + min(cc, cd), inf),
-            )
-            c, d = (
-                min(c + min(ca, cc), d + ca, inf),
-                min(d + cc, inf),
-            )
-        st[v] = (a, b, c, d)
+    st = [(inf, w, inf, 0) for w in weight]
+    for v in tree.order[:0:-1]:
+        ca, cb, cc, cd = st[v]
+        st[v] = None
+        p = tree.parent[v]
+        a, b, c, d = st[p]
+        in_any = min(ca, cb, cc, cd)
+        in_dset = min(ca, cb)
+        st[p] = (
+            min(a + in_any, b + in_dset, inf),
+            min(b + min(cc, cd), inf),
+            min(c + min(ca, cc), d + ca, inf),
+            min(d + cc, inf),
+        )
     ans = min(st[0][0], st[0][2])
     return None if ans >= inf else ans
 
@@ -164,32 +152,30 @@ def _tcoi_opt(tree, weight):
     children into the set, already dominated within their subtrees, and
     itself contributes the required out-vertex).
     """
-    n = tree.n
     inf = sum(weight) + 1
-    order, children = _rooted_children(tree)
-    st = [None] * n
-    for v in reversed(order):
-        # a0/a1: in & dominated, without/with an out vertex below
-        # b0/b1: in & undominated, likewise; o: v itself out
-        a0 = a1 = inf
-        b0, b1 = weight[v], inf
-        o = 0
-        for ch in children[v]:
-            ca0, ca1, cb0, cb1, co = st[ch]
-            in_t0 = min(ca0, cb0)
-            in_t1 = min(ca1, cb1)
-            any_t1 = min(in_t1, co)
-            any_t0 = in_t0
-            na0 = min(a0 + any_t0, b0 + in_t0, inf)
-            na1 = min(a1 + min(any_t0, any_t1), a0 + any_t1, b1 + min(in_t0, in_t1), b0 + in_t1, inf)
+    # a0/a1: in & dominated, without/with an out vertex below
+    # b0/b1: in & undominated, likewise; o: v itself out
+    st = [(inf, inf, w, inf, 0) for w in weight]
+    for v in tree.order[:0:-1]:
+        ca0, ca1, cb0, cb1, co = st[v]
+        st[v] = None
+        p = tree.parent[v]
+        a0, a1, b0, b1, o = st[p]
+        in_t0 = min(ca0, cb0)
+        in_t1 = min(ca1, cb1)
+        any_t1 = min(in_t1, co)
+        any_t0 = in_t0
+        st[p] = (
+            min(a0 + any_t0, b0 + in_t0, inf),
+            min(a1 + min(any_t0, any_t1), a0 + any_t1, b1 + min(in_t0, in_t1), b0 + in_t1, inf),
             # b-state keeps "no child in set": only out children qualify,
             # and an out child always carries the out flag
-            nb1 = min(b1 + co, b0 + co, inf)
-            no = min(o + min(ca0, ca1), inf)
-            a0, a1, b0, b1, o = na0, na1, inf, nb1, no
-        st[v] = (a0, a1, b0, b1, o)
+            inf,
+            min(b1 + co, b0 + co, inf),
+            min(o + min(ca0, ca1), inf),
+        )
     a0, a1, b0, b1, o = st[0]
-    ans = min(a1, o if n >= 2 else inf)
+    ans = min(a1, o if tree.n >= 2 else inf)
     return None if ans >= inf else ans
 
 
@@ -310,52 +296,66 @@ def _mask_valid(tree, arr, which, nb):
     return ok
 
 
-def _valid_masks(tree, which, cap):
-    """Ascending uint64 array of every subset mask (vertex v at bit v) that
-    satisfies the invariant's defining predicate, built in chunks of
-    _CHUNK masks so that memory follows the hits, not 2^n."""
+def _valid_chunks(tree, which, cap):
+    """Yield, in ascending order and chunk by chunk of _CHUNK masks, the
+    uint64 subset masks (vertex v at bit v) that satisfy the invariant's
+    defining predicate, so that memory follows the hits, not 2^n."""
     n = tree.n
     if n > cap:
         raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
     _check_defined(tree, which)
     nb = _neighbor_masks(tree)
-    hits = []
     for lo in range(0, 1 << n, _CHUNK):
         arr = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint64)
-        hits.append(arr[_mask_valid(tree, arr, which, nb)])
-    return np.concatenate(hits)
+        yield arr[_mask_valid(tree, arr, which, nb)]
 
 
 def _mask_sets(masks, n):
     return [frozenset(v for v in range(n) if int(m) >> v & 1) for m in masks]
 
 
-def brute_force(tree, which, cap=BRUTE_FORCE_CAP):
+def _optimal_sets(tree, which, cap):
+    # keeps only the best-size hits of each chunk, dropping them all when a
+    # later chunk holds a better size
+    maximize = which == "beta"
+    best, kept = None, []
+    for hits in _valid_chunks(tree, which, cap):
+        if hits.size == 0:
+            continue
+        sizes = np.bitwise_count(hits)
+        size = int(sizes.max() if maximize else sizes.min())
+        if best is None or (size > best if maximize else size < best):
+            best, kept = size, []
+        if size == best:
+            kept.append(hits[sizes == size])
+    if best is None:
+        raise UndefinedInvariantError(f"no feasible set exists for {which}")
+    return sorted(_mask_sets(np.concatenate(kept), tree.n), key=sorted)
+
+
+def brute_force(tree, which):
     """Exact optimum by checking the defining predicate on every subset.
 
     Independent of the dynamic programs; this is the oracle the DP results
     are validated against.  The witness is the lexicographically smallest
-    optimal set, as for the DP.
+    optimal set, as for the DP.  Capped at BRUTE_FORCE_CAP vertices.
     """
     if which not in _DP:
         raise ValueError(f"unknown invariant {which!r}")
-    best = optimal_sets(tree, which, cap)[0]
+    best = _optimal_sets(tree, which, BRUTE_FORCE_CAP)[0]
     return len(best), best
 
 
-def optimal_sets(tree, which, cap=16):
-    """Every optimal set for the invariant, as sorted frozensets."""
-    masks = _valid_masks(tree, which, cap)
-    if masks.size == 0:
-        raise UndefinedInvariantError(f"no feasible set exists for {which}")
-    sizes = np.bitwise_count(masks)
-    target = sizes.max() if which == "beta" else sizes.min()
-    return sorted(_mask_sets(masks[sizes == target], tree.n), key=sorted)
+def optimal_sets(tree, which):
+    """Every optimal set for the invariant, as sorted frozensets (capped at
+    SUBSET_CAP vertices)."""
+    return _optimal_sets(tree, which, SUBSET_CAP)
 
 
-def all_tcoi_sets(tree, cap=16):
-    """Every total co-independent dominating set of the tree (any size)."""
-    return _mask_sets(_valid_masks(tree, "tcoi", cap), tree.n)
+def all_tcoi_sets(tree):
+    """Every total co-independent dominating set of the tree (any size;
+    capped at SUBSET_CAP vertices)."""
+    return _mask_sets(np.concatenate(list(_valid_chunks(tree, "tcoi", SUBSET_CAP))), tree.n)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,19 @@ class Tree:
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
     ascending order; ``adj[v]`` is the sorted neighbor tuple of ``v``.
     Construction validates the tree property (n-1 edges, connected, no
-    loops or duplicates) and raises NotATreeError otherwise.
+    loops or duplicates) and raises NotATreeError otherwise.  The
+    breadth-first search that checks connectivity is kept: ``order`` lists
+    the vertices in BFS order from vertex 0, and ``parent[v]`` is v's
+    neighbor one step closer to 0 (-1 for vertex 0).  Every vertex comes
+    after its parent in ``order``, so a walk of ``order`` in reverse visits
+    each vertex after all of its children.
     """
 
     n: int
     edges: tuple = ()
     adj: tuple = field(init=False, repr=False, compare=False)
+    order: tuple = field(init=False, repr=False, compare=False)
+    parent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -68,16 +75,11 @@ class Tree:
             nbr[v].append(u)
         object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbr))
         # connectivity: n-1 edges + connected == acyclic
-        if self.n > 1:
-            seen_v = {0}
-            stack = [0]
-            while stack:
-                for w in self.adj[stack.pop()]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        stack.append(w)
-            if len(seen_v) != self.n:
-                raise NotATreeError("graph is disconnected")
+        order, parent = _bfs(self.adj, 0)
+        if len(order) != self.n:
+            raise NotATreeError("graph is disconnected")
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "parent", tuple(parent))
 
     @classmethod
     def from_edges(cls, edges, n=None):
@@ -257,6 +259,20 @@ def serialize_graph6(tree):
 # ---------------------------------------------------------------------------
 
 
+def _bfs(adj, root):
+    """(order, parent): the vertices in BFS order from root, and each
+    vertex's BFS parent (-1 at the root, -2 for a vertex not reached)."""
+    parent = [-2] * len(adj)
+    parent[root] = -1
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] == -2:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
 def bfs_distances(tree, src):
     """Edge-count distances from src to every vertex."""
     tree._check_vertex(src)
@@ -283,33 +299,19 @@ def distance_matrix(tree):
 
 
 def diameter(tree):
-    """Largest distance between any two vertices, by double BFS."""
-    if tree.n == 1:
-        return 0
-    d0 = bfs_distances(tree, 0)
-    far = max(range(tree.n), key=lambda v: d0[v])
-    return max(bfs_distances(tree, far))
+    """Largest distance between any two vertices: the eccentricity of the
+    last vertex in BFS order from 0, which ends a longest path."""
+    return max(bfs_distances(tree, tree.order[-1]))
 
 
 def center(tree):
-    """The 1 or 2 middle vertices, found by repeatedly stripping leaves."""
-    if tree.n <= 2:
-        return tuple(range(tree.n))
-    deg = [len(a) for a in tree.adj]
-    alive = tree.n
-    layer = [v for v in range(tree.n) if deg[v] == 1]
-    while alive > 2:
-        alive -= len(layer)
-        nxt = []
-        for v in layer:
-            deg[v] = 0
-            for w in tree.adj[v]:
-                if deg[w] > 0:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+    """The 1 or 2 middle vertices of a longest path."""
+    order, parent = _bfs(tree.adj, tree.order[-1])
+    path = [order[-1]]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    d = len(path) - 1
+    return tuple(sorted(path[d // 2:(d + 1) // 2 + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +373,8 @@ def structure(tree):
 
 
 def _rooted_code(tree, root):
-    # children order via BFS parents; codes built leaves-first
-    parent = [-2] * tree.n
-    parent[root] = -1
-    order = [root]
-    for u in order:
-        for w in tree.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                order.append(w)
+    # codes built leaves-first along the BFS order from root
+    order, parent = _bfs(tree.adj, root)
     code = [b""] * tree.n
     for u in reversed(order):
         kids = sorted(code[w] for w in tree.adj[u] if parent[w] == u)

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from treedom import enumerate_trees, invariant_value
+from treedom import enumerate_trees, invariant_value, solvers
 from treedom.trees import diameter, structure
 
 
@@ -52,3 +52,18 @@ def wide_trees():
                     yield t
 
     return get
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    """Count the calls made to the weighted DPs."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solvers, "_DP", {k: counting(f) for k, f in solvers._DP.items()})
+    return calls

@@ -76,6 +76,11 @@ class TestClassify:
         assert rec.in_t_l is True and rec.structural_tl is True
         assert (rec.beta, rec.gamma_t, rec.tcoi) == (3, 4, 4)
 
+    def test_each_invariant_computed_once(self, dp_calls):
+        # P_6 is outside the lower family, so no certificate is attempted
+        classify(path(6))
+        assert sorted(dp_calls) == ["_beta_opt", "_gamma_t_opt", "_tcoi_opt"]
+
     def test_star6_family_fields_absent(self):
         rec = classify(star(6))
         assert rec.tcoi == 2 and rec.diameter == 2

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,6 @@ from treedom import (
     path,
     random_tree,
     serialize_edge_list,
-    solvers,
     star,
     tcoi_number,
     total_domination_number,
@@ -220,21 +220,6 @@ def relabeled_random_tree(n, seed):
     return random_tree(n, seed).relabeled(dict(enumerate(perm)))
 
 
-@pytest.fixture
-def dp_calls(monkeypatch):
-    """Count the calls made to the weighted DPs."""
-    calls = []
-
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(solvers, "_DP", {k: counting(f) for k, f in solvers._DP.items()})
-    return calls
-
-
 class TestOnePass:
     @pytest.mark.parametrize(
         "solver", [independence_number, total_domination_number, tcoi_number]
@@ -247,6 +232,30 @@ class TestOnePass:
     def test_membership(self, dp_calls, which):
         in_some_optimal_set(random_tree(30, 1), 5, which)
         assert len(dp_calls) == 1
+
+
+def traced_peak(fn, *args):
+    """Peak bytes traced by tracemalloc while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_dp_frees_folded_states(self):
+        # each vertex's n-bit state is dropped once folded into its parent;
+        # keeping every state to the end would peak near 18 MB
+        t = path(5000)
+        assert traced_peak(tcoi_number, t) < 8 << 20
+
+    def test_oracle_keeps_only_best_size_hits(self):
+        # star(20) has 2^19 + 1 independent sets and one maximum one;
+        # keeping every valid mask would peak near 9 MB
+        t = star(20)
+        assert traced_peak(brute_force, t, "beta") < 4 << 20
 
 
 class TestBeyondCorpus:

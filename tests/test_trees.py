@@ -11,6 +11,7 @@ from treedom import (
     TooLargeError,
     Tree,
     VertexOutOfRangeError,
+    bfs_distances,
     canonical_code,
     center,
     diameter,
@@ -40,6 +41,18 @@ class TestConstruction:
     def test_single_vertex(self):
         t = Tree(1)
         assert t.n == 1 and t.edges == ()
+
+    def test_bfs_order(self):
+        assert Tree(1, ()).order == (0,) and Tree(1, ()).parent == (-1,)
+        for seed in range(20):
+            t = random_tree(30, seed)
+            dist = bfs_distances(t, 0)
+            assert t.order[0] == 0 and t.parent[0] == -1
+            assert sorted(t.order) == list(range(t.n))
+            assert [dist[v] for v in t.order] == sorted(dist)
+            pos = {v: i for i, v in enumerate(t.order)}
+            for v in t.order[1:]:
+                assert t.parent[v] in t.adj[v] and pos[t.parent[v]] < pos[v]
 
     @pytest.mark.parametrize(
         "n,edges",
@@ -259,3 +272,5 @@ class TestCanonicalCode:
         assert center(path(5)) == (2,)
         assert center(path(6)) == (2, 3)
         assert center(star(9)) == (0,)
+        assert center(path(1)) == (0,)
+        assert center(path(2)) == (0, 1)
