@@ -1,9 +1,14 @@
 """Exhaustive enumeration of non-isomorphic trees and the theorem harness.
 
-enumerate_trees generates one representative per isomorphism class via
-canonical level sequences of rooted trees filtered to free trees by
-canonical code.  run_census classifies every tree up to a given order and
-counts violations of the verified statements; all counters must be zero.
+enumerate_trees generates each free tree on n vertices exactly once, as
+the level sequence of the tree rooted at its center, with the algorithm
+of Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
+trees", SIAM J. Comput. 15, 1986): it walks the rooted level sequences in
+the Beyer-Hedetniemi successor order and jumps over every run of
+sequences that are not the canonical rooting of a free tree, so no tree
+is built or encoded twice.  run_census classifies every tree up to a
+given order, computing each tree's canonical code once, and counts
+violations of the verified statements; all counters must be zero.
 """
 
 from __future__ import annotations
@@ -30,28 +35,63 @@ DISTANCE_REMARK_MAX_N = 12
 MINIMALITY_MAX_N = 10
 
 
-def _level_sequences(n):
-    """Canonical level sequences of all rooted trees on n vertices,
-    lexicographically decreasing from the path."""
-    if n == 1:
-        yield [0]
+def _next_rooted(seq, p):
+    """Beyer-Hedetniemi successor of the level sequence seq at position p
+    (seq[p] > 1): the prefix seq[:p] is kept and the rest repeats the
+    segment seq[q:p], where q is p's parent (the last vertex before p one
+    level up)."""
+    q = p - 1
+    while seq[q] != seq[p] - 1:
+        q -= 1
+    span = p - q
+    nxt = seq[:p]
+    for i in range(p, len(seq)):
+        nxt.append(nxt[i - span])
+    return nxt
+
+
+def _second_subtree(seq):
+    """Index where the root's second subtree starts (len(seq) if none)."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
+
+
+def _free_level_sequences(n):
+    """Level sequences of the free trees on n vertices, one per isomorphism
+    class, lexicographically decreasing from the path (WROM 1986).
+
+    Each tree is rooted at its center (at one end of its central edge when
+    bicentral).  Such a sequence is valid when the root's first subtree
+    seq[1:m] is lower than the rest of the tree [0] + seq[m:], or as high
+    and no larger in (size, sequence) order; an invalid sequence jumps to
+    the next rooted tree with a different first subtree.
+    """
+    if n <= 2:
+        yield list(range(n))
         return
-    seq = list(range(n))
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while True:
-        yield seq
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if seq[i] > 1:
-                p = i
-                break
-        if p < 0:
-            return
-        q = next(i for i in range(p - 1, -1, -1) if seq[i] == seq[p] - 1)
-        span = p - q
-        nxt = seq[:p]
-        for i in range(p, n):
-            nxt.append(nxt[i - span])
-        seq = nxt
+        m = _second_subtree(seq)
+        left = [x - 1 for x in seq[1:m]]
+        rest = [0] + seq[m:]
+        if (max(left), len(left), left) <= (max(rest), len(rest), rest):
+            yield seq
+            p = n - 1
+            while seq[p] == 1:
+                p -= 1
+            if p == 0:  # the star comes last
+                return
+            seq = _next_rooted(seq, p)
+        else:
+            deep = seq[m - 1] > 2
+            seq = _next_rooted(seq, m - 1)
+            if deep:
+                # end the tree with a path one level higher than the new
+                # first subtree
+                h = max(seq[1:_second_subtree(seq)])
+                seq[n - h:] = range(1, h + 1)
 
 
 def _tree_from_levels(seq):
@@ -61,7 +101,7 @@ def _tree_from_levels(seq):
     for i in range(1, n):
         edges.append((latest[seq[i] - 1], i))
         latest[seq[i]] = i
-    return Tree(n, tuple(edges))
+    return Tree._trusted(n, edges)
 
 
 def enumerate_trees(n):
@@ -71,15 +111,7 @@ def enumerate_trees(n):
         raise BadParameterError("need n >= 1")
     if n > ENUMERATION_CAP:
         raise TooLargeError(f"enumeration capped at {ENUMERATION_CAP} vertices, got {n}")
-    out = []
-    seen = set()
-    for seq in _level_sequences(n):
-        t = _tree_from_levels(seq)
-        code = canonical_code(t)
-        if code not in seen:
-            seen.add(code)
-            out.append(t)
-    return out
+    return [_tree_from_levels(seq) for seq in _free_level_sequences(n)]
 
 
 @dataclass(frozen=True)
@@ -203,11 +235,11 @@ def run_census(max_n):
     counters = {name: 0 for name in _COUNTER_NAMES}
     first = None
 
-    def hit(name, tree):
+    def hit(name, rec):
         nonlocal first
         counters[name] += 1
         if first is None:
-            first = {"check": name, "n": tree.n, "canon": canonical_code(tree).hex()}
+            first = {"check": name, "n": rec.n, "canon": rec.canon.hex()}
 
     for n in range(3, max_n + 1):
         for tree in enumerate_trees(n):
@@ -215,15 +247,15 @@ def run_census(max_n):
             records.append(rec)
             if rec.diameter >= 3:
                 if not (rec.n - rec.beta <= rec.tcoi <= rec.n - rec.num_leaves):
-                    hit("bound_sandwich_violations", tree)
+                    hit("bound_sandwich_violations", rec)
                 if rec.certificate_found != rec.in_t_beta:
-                    hit("lower_characterization_mismatches", tree)
+                    hit("lower_characterization_mismatches", rec)
                 if rec.structural_tl != rec.in_t_l:
-                    hit("upper_characterization_mismatches", tree)
+                    hit("upper_characterization_mismatches", rec)
             if n <= DISTANCE_REMARK_MAX_N and not check_distance_remark(tree):
-                hit("distance_remark_violations", tree)
+                hit("distance_remark_violations", rec)
             if n <= MINIMALITY_MAX_N and not check_minimality_agreement(tree):
-                hit("minimality_mismatches", tree)
+                hit("minimality_mismatches", rec)
     report = {
         "max_n": max_n,
         "tree_count": len(records),

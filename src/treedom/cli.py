@@ -15,7 +15,7 @@ import sys
 
 from . import census as census_mod
 from . import characterize, generators, solvers, trees
-from .errors import InternalError, ParseError, TreedomError
+from .errors import BadParameterError, InternalError, ParseError, TreedomError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -114,8 +114,16 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
+def _run_census(max_n):
+    # below 3 there is no tree to check, and "all theorems hold" would say
+    # nothing
+    if max_n < 3:
+        raise BadParameterError(f"--max-n must be at least 3, got {max_n}")
+    return census_mod.run_census(max_n)
+
+
 def _cmd_census(args):
-    records, report = census_mod.run_census(args.max_n)
+    records, report = _run_census(args.max_n)
     csv_text = census_mod.records_to_csv(records)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -127,7 +135,7 @@ def _cmd_census(args):
 
 
 def _cmd_verify(args):
-    _, report = census_mod.run_census(args.max_n)
+    _, report = _run_census(args.max_n)
     print(json.dumps(report, indent=2))
     if report["all_hold"]:
         print("all theorems hold")

@@ -197,7 +197,7 @@ def apply_operation(tree, step):
     else:  # O4
         h1, u1, u2, h2 = expected
         new_edges = [(v, u1), (h1, u1), (u1, u2), (u2, h2)]
-    return Tree(n + k, tree.edges + tuple(new_edges))
+    return Tree._trusted(n + k, tree.edges + tuple(new_edges))
 
 
 # ---------------------------------------------------------------------------

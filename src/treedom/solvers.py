@@ -9,7 +9,8 @@ Each invariant has two independent routes:
   weights that single out one vertex answer membership-in-some-optimal-set,
   each in one pass), and
 * a brute-force oracle that enumerates every subset as a bit mask and
-  evaluates the defining predicate directly (vectorized with numpy).
+  evaluates the defining predicate directly (vectorized with numpy, which
+  only the oracle imports, on its first call).
 
 Witnesses are deterministic: among optimal sets the one whose sorted vertex
 list is lexicographically smallest is returned.
@@ -18,8 +19,6 @@ list is lexicographically smallest is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     NotATcoiSetError,
@@ -282,6 +281,8 @@ def _neighbor_masks(tree):
 
 
 def _mask_valid(tree, arr, which, nb):
+    import numpy as np
+
     ok = np.ones(arr.shape, dtype=bool)
     if which == "beta":
         for u, v in tree.edges:
@@ -300,6 +301,8 @@ def _valid_chunks(tree, which, cap):
     """Yield, in ascending order and chunk by chunk of _CHUNK masks, the
     uint64 subset masks (vertex v at bit v) that satisfy the invariant's
     defining predicate, so that memory follows the hits, not 2^n."""
+    import numpy as np
+
     n = tree.n
     if n > cap:
         raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
@@ -310,19 +313,22 @@ def _valid_chunks(tree, which, cap):
         yield arr[_mask_valid(tree, arr, which, nb)]
 
 
-def _mask_sets(masks, n):
-    return [frozenset(v for v in range(n) if int(m) >> v & 1) for m in masks]
+def _mask_sets(chunks, n):
+    return [frozenset(v for v in range(n) if int(m) >> v & 1)
+            for masks in chunks for m in masks]
 
 
 def _optimal_sets(tree, which, cap):
     # keeps only the best-size hits of each chunk, dropping them all when a
     # later chunk holds a better size
+    from numpy import bitwise_count
+
     maximize = which == "beta"
     best, kept = None, []
     for hits in _valid_chunks(tree, which, cap):
         if hits.size == 0:
             continue
-        sizes = np.bitwise_count(hits)
+        sizes = bitwise_count(hits)
         size = int(sizes.max() if maximize else sizes.min())
         if best is None or (size > best if maximize else size < best):
             best, kept = size, []
@@ -330,7 +336,7 @@ def _optimal_sets(tree, which, cap):
             kept.append(hits[sizes == size])
     if best is None:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
-    return sorted(_mask_sets(np.concatenate(kept), tree.n), key=sorted)
+    return sorted(_mask_sets(kept, tree.n), key=sorted)
 
 
 def brute_force(tree, which):
@@ -355,7 +361,7 @@ def optimal_sets(tree, which):
 def all_tcoi_sets(tree):
     """Every total co-independent dominating set of the tree (any size;
     capped at SUBSET_CAP vertices)."""
-    return _mask_sets(np.concatenate(list(_valid_chunks(tree, "tcoi", SUBSET_CAP))), tree.n)
+    return _mask_sets(_valid_chunks(tree, "tcoi", SUBSET_CAP), tree.n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ pure, so values can be shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -32,8 +31,9 @@ class Tree:
     Edges are normalized to sorted (u, v) pairs with u < v and stored in
     ascending order; ``adj[v]`` is the sorted neighbor tuple of ``v``.
     Construction validates the tree property (n-1 edges, connected, no
-    loops or duplicates) and raises NotATreeError otherwise.  The
-    breadth-first search that checks connectivity is kept: ``order`` lists
+    loops or duplicates) and raises NotATreeError otherwise; only the
+    package's own builders skip the per-edge checks, through ``_trusted``.
+    The breadth-first search that checks connectivity is kept: ``order`` lists
     the vertices in BFS order from vertex 0, and ``parent[v]`` is v's
     neighbor one step closer to 0 (-1 for vertex 0).  Every vertex comes
     after its parent in ``order``, so a walk of ``order`` in reverse visits
@@ -46,40 +46,57 @@ class Tree:
     order: tuple = field(init=False, repr=False, compare=False)
     parent: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, *, trusted=False):
         if self.n < 1:
             raise NotATreeError("a tree has at least one vertex")
-        norm = []
-        seen = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise NotATreeError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise NotATreeError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise NotATreeError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            norm.append((u, v))
-        if len(norm) != self.n - 1:
+        if not trusted:
+            norm = []
+            seen = set()
+            for e in self.edges:
+                u, v = e
+                if u == v:
+                    raise NotATreeError(f"self-loop at vertex {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise NotATreeError(f"edge ({u}, {v}) out of range for n={self.n}")
+                if u > v:
+                    u, v = v, u
+                if (u, v) in seen:
+                    raise NotATreeError(f"duplicate edge ({u}, {v})")
+                seen.add((u, v))
+                norm.append((u, v))
+            norm.sort()
+            object.__setattr__(self, "edges", tuple(norm))
+        if len(self.edges) != self.n - 1:
             raise NotATreeError(
-                f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(norm)}"
+                f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(self.edges)}"
             )
-        norm.sort()
-        object.__setattr__(self, "edges", tuple(norm))
+        # the edges are sorted, so each neighbor list comes out sorted
         nbr = [[] for _ in range(self.n)]
-        for u, v in norm:
+        for u, v in self.edges:
             nbr[u].append(v)
             nbr[v].append(u)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbr))
+        object.__setattr__(self, "adj", tuple(map(tuple, nbr)))
         # connectivity: n-1 edges + connected == acyclic
-        order, parent = _bfs(self.adj, 0)
+        order, parent, _ = _bfs(self.adj, 0)
         if len(order) != self.n:
             raise NotATreeError("graph is disconnected")
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "parent", tuple(parent))
+
+    @classmethod
+    def _trusted(cls, n, edges):
+        """Tree from the edges of a forest on 0..n-1 that an internal builder
+        made, each as (u, v) with u < v.
+
+        Skips the per-edge range, self-loop and duplicate checks that
+        ``Tree(n, edges)`` makes on outside input; still raises
+        NotATreeError if the forest is disconnected.
+        """
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "n", n)
+        object.__setattr__(tree, "edges", tuple(sorted(edges)))
+        tree.__post_init__(trusted=True)
+        return tree
 
     @classmethod
     def from_edges(cls, edges, n=None):
@@ -123,12 +140,13 @@ class Tree:
         if not survivors:
             raise NotATreeError("cannot remove every vertex")
         old_to_new = {v: i for i, v in enumerate(survivors)}
+        # old_to_new is increasing, so the kept edges stay normalized
         kept = [
             (old_to_new[u], old_to_new[v])
             for u, v in self.edges
             if u not in removed and v not in removed
         ]
-        return Tree(len(survivors), tuple(kept)), old_to_new
+        return Tree._trusted(len(survivors), kept), old_to_new
 
     def __repr__(self):
         return f"Tree(n={self.n}, edges={list(self.edges)})"
@@ -260,32 +278,27 @@ def serialize_graph6(tree):
 
 
 def _bfs(adj, root):
-    """(order, parent): the vertices in BFS order from root, and each
-    vertex's BFS parent (-1 at the root, -2 for a vertex not reached)."""
-    parent = [-2] * len(adj)
-    parent[root] = -1
+    """(order, parent, dist): the vertices in BFS order from root, each
+    vertex's BFS parent and its edge-count distance from root (parent -1
+    at the root; both -1 for a vertex not reached)."""
+    parent = [-1] * len(adj)
+    dist = [-1] * len(adj)
+    dist[root] = 0
     order = [root]
     for u in order:
+        d = dist[u] + 1
         for w in adj[u]:
-            if parent[w] == -2:
+            if dist[w] < 0:
                 parent[w] = u
+                dist[w] = d
                 order.append(w)
-    return order, parent
+    return order, parent, dist
 
 
 def bfs_distances(tree, src):
     """Edge-count distances from src to every vertex."""
     tree._check_vertex(src)
-    dist = [-1] * tree.n
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        u = q.popleft()
-        for w in tree.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                q.append(w)
-    return dist
+    return _bfs(tree.adj, src)[2]
 
 
 def distance(tree, u, v):
@@ -295,18 +308,19 @@ def distance(tree, u, v):
 
 
 def distance_matrix(tree):
-    return [bfs_distances(tree, v) for v in range(tree.n)]
+    return [_bfs(tree.adj, v)[2] for v in range(tree.n)]
 
 
 def diameter(tree):
     """Largest distance between any two vertices: the eccentricity of the
     last vertex in BFS order from 0, which ends a longest path."""
-    return max(bfs_distances(tree, tree.order[-1]))
+    order, _, dist = _bfs(tree.adj, tree.order[-1])
+    return dist[order[-1]]
 
 
 def center(tree):
     """The 1 or 2 middle vertices of a longest path."""
-    order, parent = _bfs(tree.adj, tree.order[-1])
+    order, parent, _ = _bfs(tree.adj, tree.order[-1])
     path = [order[-1]]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -374,7 +388,7 @@ def structure(tree):
 
 def _rooted_code(tree, root):
     # codes built leaves-first along the BFS order from root
-    order, parent = _bfs(tree.adj, root)
+    order, parent, _ = _bfs(tree.adj, root)
     code = [b""] * tree.n
     for u in reversed(order):
         kids = sorted(code[w] for w in tree.adj[u] if parent[w] == u)

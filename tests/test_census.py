@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from treedom import census
 from treedom import (
     BadParameterError,
     TooLargeError,
+    Tree,
     attains_upper_bound,
     canonical_code,
     check_distance_remark,
@@ -23,14 +25,79 @@ from treedom import (
 # unlabeled trees per order (standard reference sequence)
 FREE_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
-    10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159,
+    10: 106, 11: 235, 12: 551, 13: 1301, 14: 3159, 15: 7741, 16: 19320,
+    17: 48629, 18: 123867,
 }
 
 
+def rooted_level_sequences(n):
+    """Canonical level sequences of every rooted tree on n vertices
+    (Beyer-Hedetniemi 1980), lexicographically decreasing from the path."""
+    seq = list(range(n))
+    while True:
+        yield seq
+        p = max((i for i in range(n) if seq[i] > 1), default=-1)
+        if p < 0:
+            return
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        seq = seq[:p] + [seq[q + (i - p) % (p - q)] for i in range(p, n)]
+
+
+def free_codes_by_filter(n):
+    """Canonical codes of the free trees on n vertices, found by keeping one
+    rooted tree per code."""
+    codes = set()
+    for seq in rooted_level_sequences(n):
+        latest = [0] * n
+        edges = []
+        for i in range(1, n):
+            edges.append((latest[seq[i] - 1], i))
+            latest[seq[i]] = i
+        codes.add(canonical_code(Tree(n, tuple(edges))))
+    return codes
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """counting(owner, name) counts the calls made to owner.name."""
+    calls = {}
+
+    def install(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+        return calls
+
+    return install
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_known_counts(self, n):
         assert len(enumerate_trees(n)) == FREE_TREE_COUNTS[n]
+
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_level_sequence_counts(self, n):
+        # the sequences alone, without building the trees
+        assert sum(1 for _ in census._free_level_sequences(n)) == FREE_TREE_COUNTS[n]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_rooted_filter(self, n):
+        assert {canonical_code(t) for t in enumerate_trees(n)} == free_codes_by_filter(n)
+
+    def test_each_tree_built_once(self, counting):
+        calls = counting(Tree, "__post_init__")
+        counting(census, "canonical_code")
+        for n in (1, 2, 9, 12):
+            before = calls["__post_init__"]
+            got = enumerate_trees(n)
+            assert calls["__post_init__"] - before == len(got) == FREE_TREE_COUNTS[n]
+        assert calls["canonical_code"] == 0
 
     def test_n4(self):
         got = enumerate_trees(4)
@@ -80,6 +147,12 @@ class TestClassify:
         # P_6 is outside the lower family, so no certificate is attempted
         classify(path(6))
         assert sorted(dp_calls) == ["_beta_opt", "_gamma_t_opt", "_tcoi_opt"]
+
+    def test_each_code_computed_once(self, counting):
+        calls = counting(census, "canonical_code")
+        records, _ = run_census(9)
+        assert len(records) == 93
+        assert calls["canonical_code"] == 93
 
     def test_star6_family_fields_absent(self):
         rec = classify(star(6))

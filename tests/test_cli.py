@@ -164,6 +164,23 @@ class TestCensusVerify:
         report = json.loads(err)
         assert report["all_hold"] is True
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--max-n", "-4"],
+        ["verify", "--max-n", "2"],
+        ["census", "--max-n", "0"],
+    ])
+    def test_max_n_below_three(self, args):
+        # run as a process: below 3 there is no tree to check, so a clean
+        # report would claim something about nothing
+        src = os.path.dirname(os.path.dirname(treedom.__file__))
+        r = subprocess.run(
+            [sys.executable, "-m", "treedom.cli", *args], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert r.returncode == 2
+        assert r.stderr.startswith(b"error:")
+        assert b"hold" not in r.stdout and b"canon" not in r.stdout
+
     def test_verify_clean_range(self, capsys):
         rc = main(["verify", "--max-n", "8"])
         out = capsys.readouterr().out

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import treedom
 from treedom import (
     FamilyFSpec,
     NotATcoiSetError,
@@ -256,6 +260,25 @@ class TestMemory:
         # keeping every valid mask would peak near 9 MB
         t = star(20)
         assert traced_peak(brute_force, t, "beta") < 4 << 20
+
+
+class TestLazyNumpy:
+    def test_dp_route_does_not_import_numpy(self):
+        # numpy is most of the package's import time and only the subset
+        # oracle needs it; a fresh interpreter shows what the import loads
+        src = os.path.dirname(os.path.dirname(treedom.__file__))
+        code = (
+            "import sys, treedom\n"
+            "treedom.invariant_report(treedom.path(10))\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "treedom.brute_force(treedom.path(5), 'beta')\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert r.returncode == 0, r.stderr.decode()
 
 
 class TestBeyondCorpus:

@@ -75,6 +75,26 @@ class TestConstruction:
         with pytest.raises(NotATreeError):
             t.without({2})  # disconnects
 
+    def test_trusted_matches_validating(self):
+        # the internal builders' constructor gives the same tree as the
+        # validating one on well-formed edges, in any order
+        for seed in range(20):
+            t = random_tree(25, seed)
+            edges = list(t.edges)
+            random.Random(seed).shuffle(edges)
+            u = Tree._trusted(t.n, edges)
+            assert u == t
+            assert (u.adj, u.order, u.parent) == (t.adj, t.order, t.parent)
+            assert all(list(a) == sorted(a) for a in u.adj)
+            sub, _ = t.without({t.order[-1]})
+            ref = Tree(sub.n, sub.edges)
+            assert (sub.edges, sub.adj, sub.order, sub.parent) == (
+                ref.edges, ref.adj, ref.order, ref.parent)
+
+    def test_trusted_rejects_disconnected(self):
+        with pytest.raises(NotATreeError):
+            Tree._trusted(4, [(0, 1), (2, 3)])
+
 
 class TestEdgeListFormat:
     def test_parse_p4(self):
@@ -232,6 +252,14 @@ class TestDistance:
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):
             distance(path(3), 0, 7)
+
+    def test_bfs_distances_match_networkx(self):
+        for seed in range(10):
+            t = random_tree(40, seed)
+            g = nx.Graph(list(t.edges))
+            for src in (0, 17, 39):
+                want = nx.single_source_shortest_path_length(g, src)
+                assert bfs_distances(t, src) == [want[v] for v in range(t.n)]
 
     def test_diameter_matches_matrix(self, corpus):
         for t in corpus(1, 10):
