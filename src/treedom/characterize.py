@@ -6,11 +6,13 @@ and the upper bound when it equals n minus the number of leaves.  The lower
 family has an operational characterization: exactly the trees reachable
 from P_4 by attachment operations O1-O4 applied at vertices lying in
 suitable optimal sets.  decompose_to_p4 finds such an operation sequence
-with the proof's case analysis alone, peeling one validated configuration
-at a time down to P_4; verify_certificate replays a certificate forward and
-checks every precondition, and decompose_to_p4 runs it on each certificate
-before returning it.  A member on which no move applies would be a defect
-in the moves, not a counterexample, and raises InternalError (no tree of
+with the proof's case analysis alone, peeling one configuration at a time
+down to P_4 by structure: the one invariant it computes is the lower bound
+on a one-link chain's O2 remainder, which picks reverse O2 or O4.  The
+forward replay it shares with verify_certificate is the only check of each
+step's precondition and of the rebuilt tree.  A member on which no move
+applies, or whose certificate does not replay, is a defect in the moves,
+not a counterexample, and raises InternalError (no tree of
 order <= 18 does).  The upper family has a purely structural
 characterization: structural_upper_bound_check tests the condition as the
 paper states it, which is necessary but not sufficient, and
@@ -29,8 +31,8 @@ from .errors import (
     TreedomError,
     UndefinedInvariantError,
 )
-from .generators import OP_KINDS, OP_PRECONDITION, OP_SIZES, OperationStep, apply_operation, path
-from .solvers import in_some_optimal_set, invariant_value
+from .generators import OP_KINDS, OP_SIZES, OperationStep, apply_operation, path
+from .solvers import invariant_value
 from .trees import (
     canonical_code,
     diameter,
@@ -162,6 +164,18 @@ def certificate_from_text(text):
     return Certificate(steps=tuple(steps), final_code=final_code)
 
 
+def _replay(steps):
+    """Apply the steps from P_4 and return the result's canonical code; a
+    step that cannot be applied raises InvalidStepError with its index."""
+    cur = path(4)
+    for i, step in enumerate(steps):
+        try:
+            cur = apply_operation(cur, step)
+        except TreedomError as exc:
+            raise InvalidStepError(i, str(exc)) from exc
+    return canonical_code(cur)
+
+
 def verify_certificate(cert, target):
     """Replay a certificate from P_4 and compare against the target tree.
 
@@ -169,13 +183,7 @@ def verify_certificate(cert, target):
     its index) and CertificateMismatchError if the replayed tree does not
     match the recorded code or the target's isomorphism class.
     """
-    cur = path(4)
-    for i, step in enumerate(cert.steps):
-        try:
-            cur = apply_operation(cur, step)
-        except TreedomError as exc:
-            raise InvalidStepError(i, str(exc)) from exc
-    code = canonical_code(cur)
+    code = _replay(cert.steps)
     if code != cert.final_code:
         raise CertificateMismatchError(
             "replayed tree does not match the certificate's recorded code"
@@ -200,33 +208,15 @@ class _Reduction:
     attach: int
 
 
-def _validated(tree, red):
-    """Check that a reduction peels cleanly: the remainder is a tree of
-    diameter >= 3 that still attains the lower bound, and the forward
-    precondition holds at the attachment vertex.  Returns (red, subtree,
-    old_to_new) or None."""
-    if red.attach in red.removed:
-        return None
-    try:
-        sub, old_to_new = tree.without(red.removed)
-    except TreedomError:
-        return None
-    if diameter(sub) < 3 or not _lower_bound_holds(sub):
-        return None
-    if not in_some_optimal_set(sub, old_to_new[red.attach], OP_PRECONDITION[red.kind]):
-        return None
-    return red, sub, old_to_new
-
-
 def _leaf_neighbors(tree, v, leaves):
     return sorted(w for w in tree.adj[v] if w in leaves)
 
 
 def _q_chain_move(tree, rep, v, s, h):
-    """Validated peel for the caterpillar configuration hanging at
-    semi-support v: follow the support chain from s and peel its far end
-    (reverse O2), or, for a one-link chain, peel the whole 4-vertex piece as
-    a reverse O4."""
+    """Peel for the caterpillar configuration hanging at semi-support v:
+    follow the support chain from s and peel its far end (reverse O2), or,
+    for a one-link chain whose O2 remainder leaves the lower family, peel
+    the whole 4-vertex piece as a reverse O4."""
     supports, leaves = rep.supports, rep.leaves
     chain = [s]
     prev = None
@@ -240,7 +230,7 @@ def _q_chain_move(tree, rep, v, s, h):
         sr, srm1 = chain[-1], chain[-2]
         hr_list = _leaf_neighbors(tree, sr, leaves)
         if hr_list and set(tree.adj[sr]) == {srm1, hr_list[0]}:
-            return _validated(tree, _Reduction("O2", (sr, hr_list[0]), srm1))
+            return _Reduction("O2", (sr, hr_list[0]), srm1)
         return None
     # one-link chain: s - s1
     s1 = chain[1]
@@ -249,10 +239,10 @@ def _q_chain_move(tree, rep, v, s, h):
         return None
     h1 = h1_list[0]
     if set(tree.adj[s1]) == {s, h1}:
-        peel = _validated(tree, _Reduction("O2", (s1, h1), s))
-        if peel is None and set(tree.adj[s]) == {h, v, s1}:
-            peel = _validated(tree, _Reduction("O4", (h, s, s1, h1), v))
-        return peel
+        if _lower_bound_holds(tree.without((s1, h1))[0]):
+            return _Reduction("O2", (s1, h1), s)
+        if set(tree.adj[s]) == {h, v, s1}:
+            return _Reduction("O4", (h, s, s1, h1), v)
     return None
 
 
@@ -277,8 +267,8 @@ def _select_triple(tree, rep, dm):
 
 
 def _proof_move(tree):
-    """The structured reduction for a lower-bound member with n > 4, as the
-    validated (reduction, subtree, old_to_new) of _validated, or None.
+    """The structured reduction for a lower-bound member with n > 4, as a
+    _Reduction in the tree's labels, or None.
 
     Case order: a support with two leaves loses one (reverse O1); with no
     semi-supports, an end support of the support subtree comes off with its
@@ -293,7 +283,7 @@ def _proof_move(tree):
         for v in sorted(supports):
             lv = _leaf_neighbors(tree, v, leaves)
             if len(lv) >= 2:
-                return _validated(tree, _Reduction("O1", (lv[0],), v))
+                return _Reduction("O1", (lv[0],), v)
         return None
 
     if not semi:
@@ -308,7 +298,7 @@ def _proof_move(tree):
                 continue
             lv = _leaf_neighbors(tree, s, leaves)
             if len(lv) == 1 and set(tree.adj[s]) == {lv[0], x}:
-                return _validated(tree, _Reduction("O2", (s, lv[0]), x))
+                return _Reduction("O2", (s, lv[0]), x)
         return None
 
     dm = distance_matrix(tree)
@@ -326,14 +316,14 @@ def _proof_move(tree):
         return None
     v_sup = [w for w in tree.adj[v] if w in supports]
     if len(v_sup) > 1:
-        return _validated(tree, _Reduction("O2", (s, h), v))
+        return _Reduction("O2", (s, h), v)
     if tree.degree(v) != 2:
         return None
     # walk two more steps toward h2
     p = next(w for w in tree.adj[v] if dm[w][h2] == dm[v][h2] - 1)
     q = next(w for w in tree.adj[p] if dm[w][h2] == dm[p][h2] - 1)
     if set(tree.adj[p]) == {v, q}:
-        return _validated(tree, _Reduction("O3", (p, v, s, h), q))
+        return _Reduction("O3", (p, v, s, h), q)
     for w in sorted(set(tree.adj[p]) - {v, q}):
         if w in supports:
             wl = _leaf_neighbors(tree, w, leaves)
@@ -345,7 +335,12 @@ def _proof_move(tree):
 def _forward_certificate(tree, base, base_to_orig, reductions):
     """Turn the peels (outermost first, in the tree's labels) into forward
     steps from the P_4 base they ended at, and check the result by replay."""
-    order = [min(v for v in range(4) if len(base.adj[v]) == 1)]
+    ends = [b for b in range(base.n) if len(base.adj[b]) == 1]
+    if base.n != 4 or len(ends) != 2:
+        raise InternalError(
+            f"peeling ended at a tree of order {base.n} other than P_4"
+        )
+    order = [ends[0]]
     while len(order) < 4:
         order.append(next(w for w in base.adj[order[-1]] if w not in order))
     phi = {base_to_orig[b]: i for i, b in enumerate(order)}
@@ -356,23 +351,22 @@ def _forward_certificate(tree, base, base_to_orig, reductions):
         phi.update(zip(red.removed, labels))
         steps.append(OperationStep(red.kind, phi[red.attach], labels))
         n += len(labels)
-    cert = Certificate(tuple(steps), canonical_code(tree))
-    try:
-        verify_certificate(cert, tree)
-    except TreedomError as exc:
-        raise InternalError(f"peeled certificate does not replay: {exc}") from exc
-    return cert
+    code = _replay(steps)
+    if code != canonical_code(tree):
+        raise CertificateMismatchError("replayed tree is not isomorphic to the target")
+    return Certificate(tuple(steps), code)
 
 
 def decompose_to_p4(tree):
     """Find an operation certificate rebuilding the tree from P_4.
 
     Returns None when the tree does not attain the lower bound.  Otherwise
-    the proof's case analysis (_proof_move) peels one validated operation
-    at a time down to P_4, and the certificate is checked by
-    verify_certificate before it is returned.  There is no fallback search:
-    a member on which no proof move applies, or a certificate that does not
-    replay, is a defect in the moves and raises InternalError.
+    the proof's case analysis (_proof_move) peels one operation at a time
+    down to P_4, choosing each by structure alone, and the replay checks
+    every step's precondition and the rebuilt tree before the certificate
+    is returned.  There is no fallback search: a member on which no proof
+    move applies, a peel that splits the tree, or a certificate that does
+    not replay is a defect in the moves and raises InternalError.
     """
     _require_diameter(diameter(tree))
     if not _lower_bound_holds(tree):
@@ -380,23 +374,27 @@ def decompose_to_p4(tree):
     reductions = []
     cur = tree
     to_orig = {v: v for v in range(tree.n)}
-    while cur.n > 4:
-        peel = _proof_move(cur)
-        if peel is None:
-            raise InternalError(
-                f"no proof move applies to a lower-bound member of order {cur.n}"
+    try:
+        while cur.n > 4:
+            red = _proof_move(cur)
+            if red is None:
+                raise InternalError(
+                    f"no proof move applies to a lower-bound member of order {cur.n}"
+                )
+            reductions.append(
+                _Reduction(
+                    red.kind,
+                    tuple(to_orig[x] for x in red.removed),
+                    to_orig[red.attach],
+                )
             )
-        red, sub, old_to_new = peel
-        reductions.append(
-            _Reduction(
-                red.kind,
-                tuple(to_orig[x] for x in red.removed),
-                to_orig[red.attach],
-            )
-        )
-        to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
-        cur = sub
-    return _forward_certificate(tree, cur, to_orig, reductions)
+            cur, old_to_new = cur.without(red.removed)
+            to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
+        return _forward_certificate(tree, cur, to_orig, reductions)
+    except InternalError:
+        raise
+    except TreedomError as exc:
+        raise InternalError(f"defective proof move: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from treedom import (
     FamilyFSpec,
     InternalError,
     InvalidStepError,
+    NotATreeError,
     OperationStep,
+    PreconditionViolatedError,
     Tree,
     UndefinedInvariantError,
     apply_operation,
@@ -220,18 +222,66 @@ class TestDecompose:
         assert main(["certify", str(f)]) == 3
         assert capsys.readouterr().err.startswith("internal error:")
 
-    def test_each_peel_validated_once(self, monkeypatch):
-        calls = []
-        real = characterize.in_some_optimal_set
+    @pytest.mark.parametrize("defect", ["precondition", "split", "base"])
+    def test_defective_move_is_internal_error(self, defect, tmp_path, capsys,
+                                              monkeypatch):
+        # the peel is structural and the replay is the only check, so a move
+        # whose forward step breaks its precondition, whose removal splits
+        # the tree, or that peels down to a tree other than P_4 must still
+        # surface as InternalError and CLI exit code 3
+        real = characterize._proof_move
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def defective(tree):
+            red = real(tree)
+            if defect == "split":
+                inner = next(v for v in range(tree.n) if tree.degree(v) > 1)
+                return characterize._Reduction(red.kind, (inner,), red.attach)
+            if defect == "base":
+                # peeling the smallest leaf strips vertex 0 of its leaves and
+                # then takes vertex 0 itself, leaving the star K_1,3
+                leaf = min(v for v in range(tree.n) if tree.degree(v) == 1)
+                return characterize._Reduction("O1", (leaf,), tree.adj[leaf][0])
+            # a leaf lies in no minimum tcoi set of a double star or of P_4
+            leaf = next(v for v in range(tree.n)
+                        if tree.degree(v) == 1 and v not in red.removed)
+            return characterize._Reduction(red.kind, red.removed, leaf)
 
-        monkeypatch.setattr(characterize, "in_some_optimal_set", counting)
+        monkeypatch.setattr(characterize, "_proof_move", defective)
+        t = double_star(3, 3)
+        with pytest.raises(InternalError) as exc:
+            decompose_to_p4(t)
+        cause = exc.value.__cause__
+        if defect == "split":
+            assert isinstance(cause, NotATreeError)
+        elif defect == "base":
+            assert "other than P_4" in str(exc.value)
+        else:
+            assert isinstance(cause, InvalidStepError) and cause.step_index == 0
+            assert isinstance(cause.__cause__, PreconditionViolatedError)
+        f = tmp_path / "t.txt"
+        f.write_text(serialize_edge_list(t))
+        assert main(["certify", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("internal error:")
+
+    def test_one_dp_per_replayed_step(self, dp_calls):
+        # the membership test takes 2 DP calls; the peel of a double star
+        # computes none, and the replay checks each O1 step with one
         cert = decompose_to_p4(double_star(3, 3))
         assert len(cert.steps) == 4
-        assert len(calls) == len(cert.steps)
+        assert len(dp_calls) == 2 + len(cert.steps)
+
+    def test_two_canonical_codes_per_member(self, monkeypatch):
+        # one for the replayed tree and one for the input
+        calls = []
+        real = characterize.canonical_code
+
+        def counting(tree):
+            calls.append(tree.n)
+            return real(tree)
+
+        monkeypatch.setattr(characterize, "canonical_code", counting)
+        decompose_to_p4(double_star(3, 3))
+        assert calls == [8, 8]
 
     def test_families_coincide_iff_leaves_attain_beta(self, wide_trees):
         for t in wide_trees(4, 12):
