@@ -8,12 +8,14 @@ from P_4 by attachment operations O1-O4 applied at vertices lying in
 suitable optimal sets.  decompose_to_p4 finds such an operation sequence
 with the proof's case analysis alone, peeling one configuration at a time
 down to P_4 by structure: the one invariant it computes is the lower bound
-on a one-link chain's O2 remainder, which picks reverse O2 or O4.  The
-forward replay it shares with verify_certificate is the only check of each
-step's precondition and of the rebuilt tree.  A member on which no move
-applies, or whose certificate does not replay, is a defect in the moves,
-not a counterexample, and raises InternalError (no tree of
-order <= 18 does).  The upper family has a purely structural
+on a one-link chain's O2 remainder, which picks reverse O2 or O4.  A peel
+finds its deepest semi-support configuration with one rerooting pass over
+the directed edges (_far_ends), so each peel is linear and a certificate
+quadratic in n.  The forward replay it shares with verify_certificate is
+the only check of each step's precondition and of the rebuilt tree.  A
+member on which no move applies, or whose certificate does not replay, is
+a defect in the moves, not a counterexample, and raises InternalError (no
+tree of order <= 18 does).  The upper family has a purely structural
 characterization: structural_upper_bound_check tests the condition as the
 paper states it, which is necessary but not sufficient, and
 upper_family_check tests the corrected condition, which is exact.
@@ -33,12 +35,7 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, apply_operation, path
 from .solvers import invariant_value
-from .trees import (
-    canonical_code,
-    diameter,
-    distance_matrix,
-    structure,
-)
+from .trees import _bfs, canonical_code, diameter, structure
 
 
 def _require_diameter(d):
@@ -201,11 +198,14 @@ def verify_certificate(cert, target):
 @dataclass(frozen=True)
 class _Reduction:
     """One peeled operation: kind, removed vertices in role order, and the
-    attachment vertex, all in the labels of the tree it was peeled from."""
+    attachment vertex, all in the labels of the tree it was peeled from;
+    remainder is that tree's (subtree, old_to_new) without the removed
+    vertices when the move already built it, else None."""
 
     kind: str
     removed: tuple
     attach: int
+    remainder: tuple = None
 
 
 def _leaf_neighbors(tree, v, leaves):
@@ -239,26 +239,79 @@ def _q_chain_move(tree, rep, v, s, h):
         return None
     h1 = h1_list[0]
     if set(tree.adj[s1]) == {s, h1}:
-        if _lower_bound_holds(tree.without((s1, h1))[0]):
-            return _Reduction("O2", (s1, h1), s)
+        remainder = tree.without((s1, h1))
+        if _lower_bound_holds(remainder[0]):
+            return _Reduction("O2", (s1, h1), s, remainder)
         if set(tree.adj[s]) == {h, v, s1}:
             return _Reduction("O4", (h, s, s1, h1), v)
     return None
 
 
-def _select_triple(tree, rep, dm):
+def _far_ends(tree):
+    """For every directed edge (u, w): (d, x), where d is the largest
+    distance from w to a vertex on w's side of the edge and x the smallest
+    vertex at that distance.
+
+    One rerooting pass along tree.order: walked in reverse, it gives each
+    vertex the far end of its own subtree; walked forward, it gives each
+    child the far end of the rest of the tree seen from its parent, the
+    best of the parent itself, the parent's own view upward and its other
+    children, read off the parent's best two candidates.  Keys are
+    (-distance, vertex), so min picks the farthest, then the smallest.
+    """
+    order, parent, adj = tree.order, tree.parent, tree.adj
+    down = [None] * tree.n  # down[w]: w's subtree, seen from w
+    for w in reversed(order):
+        best = (0, w)
+        for c in adj[w]:
+            if c != parent[w]:
+                d, x = down[c]
+                if (d - 1, x) < best:
+                    best = (d - 1, x)
+        down[w] = best
+    up = [None] * tree.n  # up[w]: the rest of the tree, seen from parent[w]
+    for p in order:
+        first, second = (0, p), None
+        if parent[p] >= 0:
+            d, x = up[p]
+            first = min(first, (d - 1, x))
+        for c in adj[p]:
+            if c != parent[p]:
+                d, x = down[c]
+                key = (d - 1, x)
+                if key < first:
+                    first, second = key, first
+                elif second is None or key < second:
+                    second = key
+        for c in adj[p]:
+            if c != parent[p]:
+                d, x = down[c]
+                up[c] = second if (d - 1, x) == first else first
+    far = {}
+    for w in order[1:]:
+        p = parent[w]
+        far[(p, w)] = (-down[w][0], down[w][1])
+        far[(w, p)] = (-up[w][0], up[w][1])
+    return far
+
+
+def _select_triple(tree, rep):
     """Pick (h, h2, v): leaves h, h2 at maximum distance whose connecting
     path passes through a semi-support v two steps from h.  Deterministic
-    tie-break by smallest (h, h2, v)."""
+    tie-break by smallest (h, h2, v).
+
+    Such a v is a neighbor of h's support s, and every h2 past v lies on
+    v's side of the edge s-v, so the farthest one is that edge's far end
+    (a leaf, because v is not one) at distance 2 + d.
+    """
+    far = _far_ends(tree)
     best = None
-    for v in sorted(rep.semi_supports):
-        for h in sorted(rep.leaves):
-            if dm[v][h] != 2:
-                continue
-            for h2 in sorted(rep.leaves):
-                if h2 == h or dm[h][v] + dm[v][h2] != dm[h][h2]:
-                    continue
-                key = (-dm[h][h2], h, h2, v)
+    for h in rep.leaves:
+        s = tree.adj[h][0]
+        for v in tree.adj[s]:
+            if v in rep.semi_supports:
+                d, h2 = far[(s, v)]
+                key = (-d, h, h2, v)
                 if best is None or key < best:
                     best = key
     if best is None:
@@ -274,7 +327,11 @@ def _proof_move(tree):
     semi-supports, an end support of the support subtree comes off with its
     leaf (reverse O2); otherwise the deepest semi-support configuration is
     peeled as a caterpillar chain, a pendant 2-path, the whole pendant
-    4-path (reverse O3), or a 4-vertex branch (reverse O4).
+    4-path (reverse O3), or a 4-vertex branch (reverse O4).  That
+    configuration hangs off the longest leaf-to-leaf path through a
+    semi-support two steps from its first leaf (_select_triple, one
+    rerooting pass); the O3 walk toward the path's far leaf takes one BFS.
+    All of it is linear in n.
     """
     rep = structure(tree)
     leaves, supports, semi = rep.leaves, rep.supports, rep.semi_supports
@@ -301,8 +358,7 @@ def _proof_move(tree):
                 return _Reduction("O2", (s, lv[0]), x)
         return None
 
-    dm = distance_matrix(tree)
-    triple = _select_triple(tree, rep, dm)
+    triple = _select_triple(tree, rep)
     if triple is None:
         return None
     h, h2, v = triple
@@ -320,8 +376,9 @@ def _proof_move(tree):
     if tree.degree(v) != 2:
         return None
     # walk two more steps toward h2
-    p = next(w for w in tree.adj[v] if dm[w][h2] == dm[v][h2] - 1)
-    q = next(w for w in tree.adj[p] if dm[w][h2] == dm[p][h2] - 1)
+    toward = _bfs(tree.adj, h2)[1]
+    p = toward[v]
+    q = toward[p]
     if set(tree.adj[p]) == {v, q}:
         return _Reduction("O3", (p, v, s, h), q)
     for w in sorted(set(tree.adj[p]) - {v, q}):
@@ -388,7 +445,7 @@ def decompose_to_p4(tree):
                     to_orig[red.attach],
                 )
             )
-            cur, old_to_new = cur.without(red.removed)
+            cur, old_to_new = red.remainder or cur.without(red.removed)
             to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
         return _forward_certificate(tree, cur, to_orig, reductions)
     except InternalError:

@@ -66,6 +66,7 @@ _CHECKS = {
     "tbeta": characterize.attains_lower_bound,
     "tl": characterize.attains_upper_bound,
     "structural": characterize.structural_upper_bound_check,
+    "upper": characterize.upper_family_check,
 }
 
 

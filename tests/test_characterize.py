@@ -20,6 +20,7 @@ from treedom import (
     certificate_from_text,
     certificate_to_text,
     decompose_to_p4,
+    distance_matrix,
     double_star,
     exhaustive_sequence_search,
     family_f,
@@ -34,8 +35,9 @@ from treedom import (
     upper_family_check,
     verify_certificate,
 )
-from treedom import characterize
+from treedom import characterize, trees
 from treedom.cli import main
+from treedom.generators import OP_SIZES
 
 
 def figure_tree(which):
@@ -58,6 +60,43 @@ def stated_counterexample():
     meets the stated structural condition without attaining n - #leaves."""
     return Tree(9, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 8),
                     (5, 6), (6, 7)))
+
+
+def grown_member(n, seed):
+    """A lower-family member of order n: P_4 grown by seeded random valid
+    O1-O4 steps."""
+    rng = random.Random(seed)
+    cur = path(4)
+    while cur.n < n:
+        kind = rng.choice([k for k, size in OP_SIZES.items() if size <= n - cur.n])
+        for v in rng.sample(range(cur.n), cur.n):
+            try:
+                cur = apply_operation(cur, OperationStep(kind, v))
+                break
+            except PreconditionViolatedError:
+                continue
+    return cur
+
+
+def reference_select_triple(tree, rep):
+    """The triple by its definition, on the distance matrix: leaves h, h2 at
+    maximum distance whose path passes through a semi-support v two steps
+    from h, ties broken by smallest (h, h2, v)."""
+    dm = distance_matrix(tree)
+    best = None
+    for v in sorted(rep.semi_supports):
+        for h in sorted(rep.leaves):
+            if dm[v][h] != 2:
+                continue
+            for h2 in sorted(rep.leaves):
+                if h2 == h or dm[h][v] + dm[v][h2] != dm[h][h2]:
+                    continue
+                key = (-dm[h][h2], h, h2, v)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        return None
+    return best[1], best[2], best[3]
 
 
 class TestFamilyMembership:
@@ -294,6 +333,57 @@ class TestDecompose:
                 assert lower == upper
             if lower and upper:
                 assert len(rep.leaves) == beta
+
+    def test_select_triple_matches_definition(self, wide_trees):
+        checked = 0
+        for t in wide_trees(4, 12):
+            rep = structure(t)
+            if rep.semi_supports:
+                expected = reference_select_triple(t, rep)
+                assert characterize._select_triple(t, rep) == expected, t
+                checked += 1
+        assert checked == 795
+
+    def test_each_remainder_built_once(self, wide_trees, monkeypatch):
+        # every peel builds its remainder once, and the O2 remainder that a
+        # one-link chain tests is reused when O2 is chosen; only an O4 that
+        # follows a rejected O2 remainder builds a tree it then drops
+        calls = []
+        real = Tree.without
+
+        def counting(self, removed):
+            calls.append(self.n)
+            return real(self, removed)
+
+        monkeypatch.setattr(Tree, "without", counting)
+        members = 0
+        for t in wide_trees(4, 12):
+            if not attains_lower_bound(t):
+                continue
+            calls.clear()
+            cert = decompose_to_p4(t)
+            o4 = sum(1 for s in cert.steps if s.op_kind == "O4")
+            assert len(calls) <= len(cert.steps) + o4, t
+            members += 1
+        assert members == 307
+
+    def test_bfs_runs_per_step(self, monkeypatch):
+        # each step takes a few BFS runs (about 3.5 here); a distance matrix
+        # per move would add n of them and make the certificate cubic
+        t = grown_member(301, seed=0)
+        calls = []
+        real = trees._bfs
+
+        def counting(adj, root):
+            calls.append(root)
+            return real(adj, root)
+
+        monkeypatch.setattr(trees, "_bfs", counting)
+        monkeypatch.setattr(characterize, "_bfs", counting)
+        cert = decompose_to_p4(t)
+        assert len(cert.steps) > 100
+        assert len(calls) <= 5 * len(cert.steps)
+        assert not hasattr(characterize, "distance_matrix")
 
 
 class TestVerifyCertificate:

@@ -7,6 +7,7 @@ import pytest
 
 import treedom
 from treedom import (
+    Tree,
     certificate_from_text,
     double_star,
     parse_edge_list,
@@ -76,6 +77,17 @@ class TestCheck:
         assert main(["check", "tl", f]) == 0
         assert main(["check", "structural", f]) == 0
         capsys.readouterr()
+
+    def test_upper_on_stated_counterexample(self, tmp_path, capsys):
+        # the 8-path with a pendant on a middle vertex meets the paper's
+        # stated condition but not the exact one
+        t = Tree(9, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 8),
+                     (5, 6), (6, 7)))
+        f = write_tree(tmp_path, t)
+        assert main(["check", "structural", f]) == 0
+        assert capsys.readouterr().out == "true\n"
+        assert main(["check", "upper", f]) == 1
+        assert capsys.readouterr().out == "false\n"
 
     def test_undefined_is_usage_error(self, tmp_path, capsys):
         rc = main(["check", "tbeta", write_tree(tmp_path, star(5))])
