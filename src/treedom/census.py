@@ -23,7 +23,6 @@ from .solvers import (
     all_tcoi_sets,
     invariant_value,
     is_minimal_tcoi_set,
-    is_tcoi_set,
     optimal_sets,
 )
 from .trees import Tree, canonical_code, distance_matrix, structure
@@ -201,10 +200,16 @@ def check_distance_remark(tree):
 
 def check_minimality_agreement(tree):
     """True iff the condition-based minimality test agrees with direct
-    single-removal minimality on every total co-independent dominating set."""
-    for d in all_tcoi_sets(tree):
+    single-removal minimality on every total co-independent dominating set.
+
+    all_tcoi_sets lists every such set, so D - {v} is one exactly when its
+    mask is among theirs."""
+    sets = all_tcoi_sets(tree)
+    masks = [sum(1 << v for v in d) for d in sets]
+    valid = set(masks)
+    for d, m in zip(sets, masks):
         by_condition = is_minimal_tcoi_set(tree, d)
-        by_removal = not any(is_tcoi_set(tree, d - {v}) for v in d)
+        by_removal = not any(m ^ (1 << v) in valid for v in d)
         if by_condition != by_removal:
             return False
     return True

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, apply_operation, path
 from .solvers import invariant_value
-from .trees import _bfs, canonical_code, diameter, structure
+from .trees import _bfs, _vertex_classes, canonical_code, diameter, structure
 
 
 def _require_diameter(d):
@@ -212,12 +212,11 @@ def _leaf_neighbors(tree, v, leaves):
     return sorted(w for w in tree.adj[v] if w in leaves)
 
 
-def _q_chain_move(tree, rep, v, s, h):
+def _q_chain_move(tree, leaves, supports, v, s, h):
     """Peel for the caterpillar configuration hanging at semi-support v:
     follow the support chain from s and peel its far end (reverse O2), or,
     for a one-link chain whose O2 remainder leaves the lower family, peel
     the whole 4-vertex piece as a reverse O4."""
-    supports, leaves = rep.supports, rep.leaves
     chain = [s]
     prev = None
     while True:
@@ -295,7 +294,7 @@ def _far_ends(tree):
     return far
 
 
-def _select_triple(tree, rep):
+def _select_triple(tree, leaves, semi):
     """Pick (h, h2, v): leaves h, h2 at maximum distance whose connecting
     path passes through a semi-support v two steps from h.  Deterministic
     tie-break by smallest (h, h2, v).
@@ -306,10 +305,10 @@ def _select_triple(tree, rep):
     """
     far = _far_ends(tree)
     best = None
-    for h in rep.leaves:
+    for h in leaves:
         s = tree.adj[h][0]
         for v in tree.adj[s]:
-            if v in rep.semi_supports:
+            if v in semi:
                 d, h2 = far[(s, v)]
                 key = (-d, h, h2, v)
                 if best is None or key < best:
@@ -333,8 +332,7 @@ def _proof_move(tree):
     rerooting pass); the O3 walk toward the path's far leaf takes one BFS.
     All of it is linear in n.
     """
-    rep = structure(tree)
-    leaves, supports, semi = rep.leaves, rep.supports, rep.semi_supports
+    leaves, supports, semi = _vertex_classes(tree)
 
     if len(supports) < len(leaves):
         for v in sorted(supports):
@@ -358,14 +356,14 @@ def _proof_move(tree):
                 return _Reduction("O2", (s, lv[0]), x)
         return None
 
-    triple = _select_triple(tree, rep)
+    triple = _select_triple(tree, leaves, semi)
     if triple is None:
         return None
     h, h2, v = triple
     s = tree.adj[h][0]  # the support between h and v
 
     if any(w in supports for w in tree.adj[s]):
-        return _q_chain_move(tree, rep, v, s, h)
+        return _q_chain_move(tree, leaves, supports, v, s, h)
 
     # s has no support neighbor: it must be the degree-2 end of the path
     if set(tree.adj[s]) != {h, v}:
@@ -385,7 +383,7 @@ def _proof_move(tree):
         if w in supports:
             wl = _leaf_neighbors(tree, w, leaves)
             if wl:
-                return _q_chain_move(tree, rep, p, w, wl[0])
+                return _q_chain_move(tree, leaves, supports, p, w, wl[0])
     return None
 
 

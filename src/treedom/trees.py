@@ -352,24 +352,32 @@ class StructureReport:
     diameter: int
 
 
-def structure(tree):
-    degs = [len(a) for a in tree.adj]
-    leaves = frozenset(v for v in range(tree.n) if degs[v] <= 1)
+def _vertex_classes(tree):
+    """(leaves, supports, semi_supports) as StructureReport defines them,
+    without the diameter BFS."""
+    adj = tree.adj
+    leaves = frozenset(v for v in range(tree.n) if len(adj[v]) <= 1)
     supports = frozenset(
         v
         for v in range(tree.n)
-        if v not in leaves and any(w in leaves for w in tree.adj[v])
+        if v not in leaves and any(w in leaves for w in adj[v])
     )
     semi = frozenset(
         v
         for v in range(tree.n)
         if v not in leaves
         and v not in supports
-        and any(w in supports for w in tree.adj[v])
+        and any(w in supports for w in adj[v])
     )
+    return leaves, supports, semi
+
+
+def structure(tree):
+    leaves, supports, semi = _vertex_classes(tree)
     isolated = frozenset(
         v for v in supports if not any(w in supports for w in tree.adj[v])
     )
+    degs = [len(a) for a in tree.adj]
     return StructureReport(
         leaves=leaves,
         supports=supports,

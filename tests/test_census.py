@@ -12,6 +12,7 @@ from treedom import (
     check_distance_remark,
     check_minimality_agreement,
     classify,
+    comb,
     diameter,
     enumerate_trees,
     path,
@@ -174,6 +175,12 @@ class TestHarnessChecks:
     def test_minimality_small(self, corpus):
         for t in corpus(3, 8):
             assert check_minimality_agreement(t)
+
+    def test_minimality_mismatch_is_caught(self, monkeypatch):
+        # comb(3) has tcoi sets that are not minimal, so a condition that
+        # accepts every set must disagree with single removals
+        monkeypatch.setattr(census, "is_minimal_tcoi_set", lambda tree, d: True)
+        assert not check_minimality_agreement(comb(3))
 
 
 class TestRunCensus:

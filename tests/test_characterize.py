@@ -340,7 +340,8 @@ class TestDecompose:
             rep = structure(t)
             if rep.semi_supports:
                 expected = reference_select_triple(t, rep)
-                assert characterize._select_triple(t, rep) == expected, t
+                got = characterize._select_triple(t, rep.leaves, rep.semi_supports)
+                assert got == expected, t
                 checked += 1
         assert checked == 795
 
@@ -384,6 +385,23 @@ class TestDecompose:
         assert len(cert.steps) > 100
         assert len(calls) <= 5 * len(cert.steps)
         assert not hasattr(characterize, "distance_matrix")
+
+    def test_one_diameter_per_certificate(self, monkeypatch):
+        # the membership precondition reads the diameter once; the peels
+        # read vertex classes only
+        t = grown_member(301, seed=0)
+        calls = []
+        real = trees.diameter
+
+        def counting(tree):
+            calls.append(tree.n)
+            return real(tree)
+
+        monkeypatch.setattr(trees, "diameter", counting)
+        monkeypatch.setattr(characterize, "diameter", counting)
+        cert = decompose_to_p4(t)
+        assert len(cert.steps) > 100
+        assert calls == [301]
 
 
 class TestVerifyCertificate:

@@ -33,6 +33,7 @@ from treedom import (
     tcoi_number,
     total_domination_number,
 )
+from treedom import solvers
 from treedom.cli import main
 from treedom.solvers import WITNESS_MAX_N
 
@@ -318,3 +319,169 @@ class TestWitnessCap:
         p.write_text(serialize_edge_list(path(WITNESS_MAX_N + 1)))
         assert main(["compute", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# The clamped folds the kernels replaced, kept as references: every sum is
+# clamped to inf with min() and each comparison is a min() or max() call.
+
+
+def ref_beta_opt(tree, weight):
+    dp_in = list(weight)
+    dp_out = [0] * tree.n
+    for v in tree.order[:0:-1]:
+        p = tree.parent[v]
+        dp_in[p] += dp_out[v]
+        dp_out[p] += max(dp_in[v], dp_out[v])
+        dp_in[v] = dp_out[v] = None
+    return max(dp_in[0], dp_out[0])
+
+
+def ref_gamma_t_opt(tree, weight):
+    inf = sum(weight) + 1
+    st = [(inf, w, inf, 0) for w in weight]
+    for v in tree.order[:0:-1]:
+        ca, cb, cc, cd = st[v]
+        st[v] = None
+        p = tree.parent[v]
+        a, b, c, d = st[p]
+        in_any = min(ca, cb, cc, cd)
+        in_dset = min(ca, cb)
+        st[p] = (
+            min(a + in_any, b + in_dset, inf),
+            min(b + min(cc, cd), inf),
+            min(c + min(ca, cc), d + ca, inf),
+            min(d + cc, inf),
+        )
+    ans = min(st[0][0], st[0][2])
+    return None if ans >= inf else ans
+
+
+def ref_tcoi_opt(tree, weight):
+    inf = sum(weight) + 1
+    st = [(inf, inf, w, inf, 0) for w in weight]
+    for v in tree.order[:0:-1]:
+        ca0, ca1, cb0, cb1, co = st[v]
+        st[v] = None
+        p = tree.parent[v]
+        a0, a1, b0, b1, o = st[p]
+        in_t0 = min(ca0, cb0)
+        in_t1 = min(ca1, cb1)
+        any_t1 = min(in_t1, co)
+        any_t0 = in_t0
+        st[p] = (
+            min(a0 + any_t0, b0 + in_t0, inf),
+            min(a1 + min(any_t0, any_t1), a0 + any_t1, b1 + min(in_t0, in_t1),
+                b0 + in_t1, inf),
+            inf,
+            min(b1 + co, b0 + co, inf),
+            min(o + min(ca0, ca1), inf),
+        )
+    a0, a1, b0, b1, o = st[0]
+    ans = min(a1, o if tree.n >= 2 else inf)
+    return None if ans >= inf else ans
+
+
+REFERENCE_DP = {"beta": ref_beta_opt, "gamma_t": ref_gamma_t_opt, "tcoi": ref_tcoi_opt}
+
+
+def kernel_weights(n, rng, members):
+    """Unit weights, membership weights (2, with 1 or 3 at each vertex in
+    members), seeded random non-negative weights (zeros included) and both
+    witness weightings."""
+    yield [1] * n
+    for v in members:
+        for c in (1, 3):
+            w = [2] * n
+            w[v] = c
+            yield w
+    yield [rng.randrange(10) for _ in range(n)]
+    yield [rng.choice((0, 0, 1, 7, 1 << 40)) for _ in range(n)]
+    for sign in (1, -1):
+        yield [(1 << n) + sign * (1 << (n - 1 - v)) for v in range(n)]
+
+
+class TestKernelsMatchReference:
+    def check(self, tree, rng, members):
+        for weight in kernel_weights(tree.n, rng, members):
+            for which, ref in REFERENCE_DP.items():
+                assert solvers._DP[which](tree, weight) == ref(tree, weight), (
+                    tree, which, weight)
+
+    def test_small_trees(self, corpus):
+        rng = random.Random(0)
+        for t in corpus(1, 10):
+            self.check(t, rng, range(t.n))
+
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    def test_random_trees(self, n):
+        rng = random.Random(n)
+        for seed in range(4):
+            t = relabeled_random_tree(n, seed)
+            self.check(t, rng, rng.sample(range(n), 3))
+
+
+def largest_tcoi_complement(tree):
+    """Size of the largest non-empty independent set I for which T - I has
+    no isolated vertex, so that tcoi = n - this size (tree.n >= 3).
+
+    Its own DP along an explicit-stack DFS from vertex 0, independent of
+    tree.order and the solver's state layout.  Per vertex, over its
+    subtree: i = vertex in I (its children are out of I, and each needs a
+    child of its own out of I); c = out of I with a child out of I;
+    u = out of I with every child in I, so its parent must be out of I.
+    """
+    neg = float("-inf")
+    pre, parent, stack = [], [-1] * tree.n, [0]
+    while stack:
+        v = stack.pop()
+        pre.append(v)
+        for w in tree.adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                stack.append(w)
+    i, c, u = [0] * tree.n, [0] * tree.n, [0] * tree.n
+    for v in reversed(pre):
+        kids = [w for w in tree.adj[v] if w != parent[v]]
+        i[v] = 1 + sum(c[w] for w in kids)
+        u[v] = sum(i[w] for w in kids)
+        best = [max(i[w], c[w], u[w]) for w in kids]
+        loss = [b - max(c[w], u[w]) for b, w in zip(best, kids)]
+        c[v] = sum(best) - min(loss) if kids else neg
+    return max(i[0], c[0])
+
+
+def caterpillar(n):
+    """Spine vertices carrying 0, 1, 2, 3, 0, ... pendant leaves, cut at n
+    vertices."""
+    edges, spine, k = [], 0, 0
+    nxt = 1
+    while nxt < n:
+        for _ in range(k % 4):
+            if nxt < n:
+                edges.append((spine, nxt))
+                nxt += 1
+        if nxt < n:
+            edges.append((spine, nxt))
+            spine = nxt
+            nxt += 1
+        k += 1
+    return Tree(n, tuple(edges))
+
+
+def complete_binary_tree(n):
+    return Tree(n, tuple(((v - 1) // 2, v) for v in range(1, n)))
+
+
+class TestLargeTcoiOracle:
+    def test_oracle_matches_brute_force(self, corpus):
+        for t in corpus(3, 10):
+            assert t.n - largest_tcoi_complement(t) == brute_force(t, "tcoi")[0], t
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize(
+        "shape", [path, star, caterpillar, complete_binary_tree,
+                  lambda n: relabeled_random_tree(n, 7)],
+        ids=["path", "star", "caterpillar", "binary", "random"])
+    def test_matches_dp(self, shape, n):
+        t = shape(n)
+        assert invariant_value(t, "tcoi") == n - largest_tcoi_complement(t)
