@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .characterize import decompose_to_p4, structural_upper_bound_check
+from .characterize import _stated_upper_condition, decompose_to_p4
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
     all_tcoi_sets,
@@ -143,7 +143,7 @@ def classify(tree):
     if rep.diameter >= 3:
         in_beta = tcoi == tree.n - beta
         in_l = tcoi == tree.n - len(rep.leaves)
-        structural = structural_upper_bound_check(tree)
+        structural = _stated_upper_condition(tree, rep)
         certified = in_beta and decompose_to_p4(tree) is not None
     return CensusRecord(
         canon=canonical_code(tree),

@@ -8,11 +8,16 @@ from P_4 by attachment operations O1-O4 applied at vertices lying in
 suitable optimal sets.  decompose_to_p4 finds such an operation sequence
 with the proof's case analysis alone, peeling one configuration at a time
 down to P_4 by structure: the one invariant it computes is the lower bound
-on a one-link chain's O2 remainder, which picks reverse O2 or O4.  A peel
-finds its deepest semi-support configuration with one rerooting pass over
-the directed edges (_far_ends), so each peel is linear and a certificate
-quadratic in n.  The forward replay it shares with verify_certificate is
-the only check of each step's precondition and of the rebuilt tree.  A
+on a one-link chain's O2 remainder, which picks reverse O2 or O4.  Every
+peel works on one mutable state (_Peel) in the input's own labels:
+adjacency sets and the leaf, support and semi-support classes, which each
+removal updates within distance 2 of its edge, so no Tree is built per
+peel.  A peel finds its deepest semi-support configuration with one
+rerooting pass over the directed edges (_far_ends), so each peel is linear
+and a certificate quadratic in n.  The forward replay it shares with
+verify_certificate is the only check of each step's precondition and of
+the rebuilt tree: it grows edge, order and parent lists with one
+membership DP per step and builds one Tree, for the final code.  A
 member on which no move applies, or whose certificate does not replay, is
 a defect in the moves, not a counterexample, and raises InternalError (no
 tree of order <= 18 does).  The upper family has a purely structural
@@ -30,12 +35,13 @@ from .errors import (
     CertificateMismatchError,
     InternalError,
     InvalidStepError,
+    NotATreeError,
     TreedomError,
     UndefinedInvariantError,
 )
-from .generators import OP_KINDS, OP_SIZES, OperationStep, apply_operation, path
-from .solvers import invariant_value
-from .trees import _bfs, _vertex_classes, canonical_code, diameter, structure
+from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
+from .solvers import _unit_value, invariant_value
+from .trees import Tree, _bfs, _vertex_classes, canonical_code, diameter, structure
 
 
 def _require_diameter(d):
@@ -45,14 +51,16 @@ def _require_diameter(d):
         )
 
 
-def _lower_bound_holds(tree):
-    return invariant_value(tree, "tcoi") == tree.n - invariant_value(tree, "beta")
+def _lower_bound_holds(order, parent):
+    """tcoi == n - beta on the tree that (order, parent) spans."""
+    tcoi = _unit_value(order, parent, "tcoi")
+    return tcoi == len(order) - _unit_value(order, parent, "beta")
 
 
 def attains_lower_bound(tree):
     """True iff the total co-independent domination number equals n - beta."""
     _require_diameter(diameter(tree))
-    return _lower_bound_holds(tree)
+    return _lower_bound_holds(tree.order, tree.parent)
 
 
 def attains_upper_bound(tree):
@@ -73,6 +81,12 @@ def structural_upper_bound_check(tree):
     """
     rep = structure(tree)
     _require_diameter(rep.diameter)
+    return _stated_upper_condition(tree, rep)
+
+
+def _stated_upper_condition(tree, rep):
+    """structural_upper_bound_check for a tree of diameter >= 3 whose
+    StructureReport is rep."""
     covered = rep.leaves | rep.supports | rep.semi_supports
     if len(covered) != tree.n:
         return False
@@ -148,7 +162,12 @@ def certificate_from_text(text):
         raise CertificateMismatchError("certificate must start with 'base=P4'")
     if not lines[-1].startswith("canon="):
         raise CertificateMismatchError("certificate must end with a canon= line")
-    final_code = bytes.fromhex(lines[-1][len("canon="):])
+    try:
+        final_code = bytes.fromhex(lines[-1][len("canon="):])
+    except ValueError:
+        raise CertificateMismatchError(
+            f"bad canon= value: {lines[-1][len('canon='):]!r} is not hex bytes"
+        ) from None
     steps = []
     for line in lines[1:-1]:
         m = _STEP_RE.match(line)
@@ -163,14 +182,18 @@ def certificate_from_text(text):
 
 def _replay(steps):
     """Apply the steps from P_4 and return the result's canonical code; a
-    step that cannot be applied raises InvalidStepError with its index."""
-    cur = path(4)
+    step that cannot be applied raises InvalidStepError with its index.
+
+    The tree grows as edge, order and parent lists (P_4 is 0-1-2-3 rooted
+    at 0), each step checked by one membership DP along them, and only the
+    final tree is built."""
+    order, parent, edges = [0, 1, 2, 3], [-1, 0, 1, 2], [(0, 1), (1, 2), (2, 3)]
     for i, step in enumerate(steps):
         try:
-            cur = apply_operation(cur, step)
+            _attach(order, parent, edges, step)
         except TreedomError as exc:
             raise InvalidStepError(i, str(exc)) from exc
-    return canonical_code(cur)
+    return canonical_code(Tree._trusted(len(parent), edges))
 
 
 def verify_certificate(cert, target):
@@ -198,68 +221,125 @@ def verify_certificate(cert, target):
 @dataclass(frozen=True)
 class _Reduction:
     """One peeled operation: kind, removed vertices in role order, and the
-    attachment vertex, all in the labels of the tree it was peeled from;
-    remainder is that tree's (subtree, old_to_new) without the removed
-    vertices when the move already built it, else None."""
+    attachment vertex, all in the input tree's labels."""
 
     kind: str
     removed: tuple
     attach: int
-    remainder: tuple = None
 
 
-def _leaf_neighbors(tree, v, leaves):
-    return sorted(w for w in tree.adj[v] if w in leaves)
+class _Peel:
+    """The tree being peeled, in the input tree's labels: adjacency sets
+    (empty for removed vertices), the number of vertices left, and the
+    leaf, support and semi-support classes as StructureReport defines them.
+    """
+
+    def __init__(self, tree):
+        self.adj = [set(a) for a in tree.adj]
+        self.n = tree.n
+        self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree))
+
+    def remove(self, piece):
+        """Delete the piece, which must hang from the rest by exactly one
+        edge (so that both stay trees), else raise NotATreeError; then
+        reclassify the vertices within distance 2 of the rest's end of that
+        edge, the only ones whose classes can change."""
+        adj = self.adj
+        piece = set(piece)
+        for x in piece:
+            if not (0 <= x < len(adj) and adj[x]):
+                raise NotATreeError(f"vertex {x} is not in the tree")
+        links = [(x, w) for x in piece for w in adj[x] if w not in piece]
+        if len(links) != 1:
+            raise NotATreeError(
+                f"removed piece hangs by {len(links)} edges, not exactly one"
+            )
+        ((a, b),) = links
+        leaves, supports, semi = self.leaves, self.supports, self.semi
+        for x in piece:
+            adj[x] = set()
+            leaves.discard(x)
+            supports.discard(x)
+            semi.discard(x)
+        adj[b].discard(a)
+        self.n -= len(piece)
+        # b's degree is the only one that changed: its leaf status can
+        # change, hence the support status of b and its neighbors, hence
+        # the semi-support status of everything within distance 2 of b
+        if len(adj[b]) <= 1:
+            leaves.add(b)
+        near = adj[b] | {b}
+        for x in near:
+            if x not in leaves and any(w in leaves for w in adj[x]):
+                supports.add(x)
+            else:
+                supports.discard(x)
+        for x in near.union(*(adj[y] for y in adj[b])):
+            if x not in leaves and x not in supports and any(
+                w in supports for w in adj[x]
+            ):
+                semi.add(x)
+            else:
+                semi.discard(x)
 
 
-def _q_chain_move(tree, leaves, supports, v, s, h):
+def _leaf_neighbors(adj, v, leaves):
+    return sorted(w for w in adj[v] if w in leaves)
+
+
+def _q_chain_move(state, v, s, h):
     """Peel for the caterpillar configuration hanging at semi-support v:
     follow the support chain from s and peel its far end (reverse O2), or,
     for a one-link chain whose O2 remainder leaves the lower family, peel
     the whole 4-vertex piece as a reverse O4."""
+    adj, leaves, supports = state.adj, state.leaves, state.supports
     chain = [s]
     prev = None
     while True:
-        nxt = sorted(x for x in tree.adj[chain[-1]] if x in supports and x != prev)
+        nxt = sorted(x for x in adj[chain[-1]] if x in supports and x != prev)
         if not nxt:
             break
         prev = chain[-1]
         chain.append(nxt[0])
     if len(chain) >= 3:
         sr, srm1 = chain[-1], chain[-2]
-        hr_list = _leaf_neighbors(tree, sr, leaves)
-        if hr_list and set(tree.adj[sr]) == {srm1, hr_list[0]}:
+        hr_list = _leaf_neighbors(adj, sr, leaves)
+        if hr_list and adj[sr] == {srm1, hr_list[0]}:
             return _Reduction("O2", (sr, hr_list[0]), srm1)
         return None
     # one-link chain: s - s1
     s1 = chain[1]
-    h1_list = _leaf_neighbors(tree, s1, leaves)
+    h1_list = _leaf_neighbors(adj, s1, leaves)
     if not h1_list:
         return None
     h1 = h1_list[0]
-    if set(tree.adj[s1]) == {s, h1}:
-        remainder = tree.without((s1, h1))
-        if _lower_bound_holds(remainder[0]):
-            return _Reduction("O2", (s1, h1), s, remainder)
-        if set(tree.adj[s]) == {h, v, s1}:
+    if adj[s1] == {s, h1}:
+        # s1 and h1 hang below s in a BFS order from s, so dropping them
+        # leaves a rooted order of the O2 remainder
+        order, parent, _ = _bfs(adj, s)
+        if _lower_bound_holds([x for x in order if x != s1 and x != h1], parent):
+            return _Reduction("O2", (s1, h1), s)
+        if adj[s] == {h, v, s1}:
             return _Reduction("O4", (h, s, s1, h1), v)
     return None
 
 
-def _far_ends(tree):
-    """For every directed edge (u, w): (d, x), where d is the largest
-    distance from w to a vertex on w's side of the edge and x the smallest
-    vertex at that distance.
+def _far_ends(adj, order, parent):
+    """(down, up) for a rooted order of the tree (each vertex after its
+    parent): down[w] is the far end of the directed edge (parent[w], w) and
+    up[w] that of (w, parent[w]), both lists indexed by vertex label.
+    The far end of (u, w) is (-d, x), where d is the largest distance from
+    w to a vertex on w's side of the edge and x the smallest vertex at that
+    distance.
 
-    One rerooting pass along tree.order: walked in reverse, it gives each
-    vertex the far end of its own subtree; walked forward, it gives each
-    child the far end of the rest of the tree seen from its parent, the
-    best of the parent itself, the parent's own view upward and its other
-    children, read off the parent's best two candidates.  Keys are
-    (-distance, vertex), so min picks the farthest, then the smallest.
+    One rerooting pass: walked in reverse, the order gives each vertex the
+    far end of its own subtree; walked forward, it gives each child the far
+    end of the rest of the tree seen from its parent, the best of the
+    parent itself, the parent's own view upward and its other children,
+    read off the parent's best two candidates.  Keys are (-distance,
+    vertex), so min picks the farthest, then the smallest.
     """
-    order, parent, adj = tree.order, tree.parent, tree.adj
-    down = [None] * tree.n  # down[w]: w's subtree, seen from w
+    down = [None] * len(parent)  # down[w]: w's subtree, seen from w
     for w in reversed(order):
         best = (0, w)
         for c in adj[w]:
@@ -268,7 +348,7 @@ def _far_ends(tree):
                 if (d - 1, x) < best:
                     best = (d - 1, x)
         down[w] = best
-    up = [None] * tree.n  # up[w]: the rest of the tree, seen from parent[w]
+    up = [None] * len(parent)  # up[w]: the rest of the tree, seen from parent[w]
     for p in order:
         first, second = (0, p), None
         if parent[p] >= 0:
@@ -286,15 +366,10 @@ def _far_ends(tree):
             if c != parent[p]:
                 d, x = down[c]
                 up[c] = second if (d - 1, x) == first else first
-    far = {}
-    for w in order[1:]:
-        p = parent[w]
-        far[(p, w)] = (-down[w][0], down[w][1])
-        far[(w, p)] = (-up[w][0], up[w][1])
-    return far
+    return down, up
 
 
-def _select_triple(tree, leaves, semi):
+def _select_triple(state):
     """Pick (h, h2, v): leaves h, h2 at maximum distance whose connecting
     path passes through a semi-support v two steps from h.  Deterministic
     tie-break by smallest (h, h2, v).
@@ -303,14 +378,16 @@ def _select_triple(tree, leaves, semi):
     v's side of the edge s-v, so the farthest one is that edge's far end
     (a leaf, because v is not one) at distance 2 + d.
     """
-    far = _far_ends(tree)
+    adj, semi = state.adj, state.semi
+    order, parent, _ = _bfs(adj, next(iter(state.leaves)))
+    down, up = _far_ends(adj, order, parent)
     best = None
-    for h in leaves:
-        s = tree.adj[h][0]
-        for v in tree.adj[s]:
+    for h in state.leaves:
+        (s,) = adj[h]
+        for v in adj[s]:
             if v in semi:
-                d, h2 = far[(s, v)]
-                key = (-d, h, h2, v)
+                d, h2 = down[v] if parent[v] == s else up[s]
+                key = (d, h, h2, v)
                 if best is None or key < best:
                     best = key
     if best is None:
@@ -318,9 +395,9 @@ def _select_triple(tree, leaves, semi):
     return best[1], best[2], best[3]
 
 
-def _proof_move(tree):
+def _proof_move(state):
     """The structured reduction for a lower-bound member with n > 4, as a
-    _Reduction in the tree's labels, or None.
+    _Reduction, or None.
 
     Case order: a support with two leaves loses one (reverse O1); with no
     semi-supports, an end support of the support subtree comes off with its
@@ -332,11 +409,11 @@ def _proof_move(tree):
     rerooting pass); the O3 walk toward the path's far leaf takes one BFS.
     All of it is linear in n.
     """
-    leaves, supports, semi = _vertex_classes(tree)
+    adj, leaves, supports, semi = state.adj, state.leaves, state.supports, state.semi
 
     if len(supports) < len(leaves):
         for v in sorted(supports):
-            lv = _leaf_neighbors(tree, v, leaves)
+            lv = _leaf_neighbors(adj, v, leaves)
             if len(lv) >= 2:
                 return _Reduction("O1", (lv[0],), v)
         return None
@@ -344,53 +421,53 @@ def _proof_move(tree):
     if not semi:
         # every vertex is a leaf or a support; peel an end support whose
         # support-neighbor is not itself an end
-        sup_deg = {x: sum(1 for w in tree.adj[x] if w in supports) for x in supports}
+        sup_deg = {x: sum(1 for w in adj[x] if w in supports) for x in supports}
         for s in sorted(supports):
             if sup_deg[s] != 1:
                 continue
-            x = next(w for w in tree.adj[s] if w in supports)
+            x = next(w for w in adj[s] if w in supports)
             if sup_deg[x] < 2:
                 continue
-            lv = _leaf_neighbors(tree, s, leaves)
-            if len(lv) == 1 and set(tree.adj[s]) == {lv[0], x}:
+            lv = _leaf_neighbors(adj, s, leaves)
+            if len(lv) == 1 and adj[s] == {lv[0], x}:
                 return _Reduction("O2", (s, lv[0]), x)
         return None
 
-    triple = _select_triple(tree, leaves, semi)
+    triple = _select_triple(state)
     if triple is None:
         return None
     h, h2, v = triple
-    s = tree.adj[h][0]  # the support between h and v
+    (s,) = adj[h]  # the support between h and v
 
-    if any(w in supports for w in tree.adj[s]):
-        return _q_chain_move(tree, leaves, supports, v, s, h)
+    if any(w in supports for w in adj[s]):
+        return _q_chain_move(state, v, s, h)
 
     # s has no support neighbor: it must be the degree-2 end of the path
-    if set(tree.adj[s]) != {h, v}:
+    if adj[s] != {h, v}:
         return None
-    v_sup = [w for w in tree.adj[v] if w in supports]
+    v_sup = [w for w in adj[v] if w in supports]
     if len(v_sup) > 1:
         return _Reduction("O2", (s, h), v)
-    if tree.degree(v) != 2:
+    if len(adj[v]) != 2:
         return None
     # walk two more steps toward h2
-    toward = _bfs(tree.adj, h2)[1]
+    toward = _bfs(adj, h2)[1]
     p = toward[v]
     q = toward[p]
-    if set(tree.adj[p]) == {v, q}:
+    if adj[p] == {v, q}:
         return _Reduction("O3", (p, v, s, h), q)
-    for w in sorted(set(tree.adj[p]) - {v, q}):
+    for w in sorted(adj[p] - {v, q}):
         if w in supports:
-            wl = _leaf_neighbors(tree, w, leaves)
+            wl = _leaf_neighbors(adj, w, leaves)
             if wl:
-                return _q_chain_move(tree, leaves, supports, p, w, wl[0])
+                return _q_chain_move(state, p, w, wl[0])
     return None
 
 
-def _forward_certificate(tree, base, base_to_orig, reductions):
-    """Turn the peels (outermost first, in the tree's labels) into forward
-    steps from the P_4 base they ended at, and check the result by replay."""
-    ends = [b for b in range(base.n) if len(base.adj[b]) == 1]
+def _forward_certificate(tree, base, reductions):
+    """Turn the peels (outermost first) into forward steps from the P_4
+    base they ended at, and check the result by replay."""
+    ends = sorted(base.leaves)
     if base.n != 4 or len(ends) != 2:
         raise InternalError(
             f"peeling ended at a tree of order {base.n} other than P_4"
@@ -398,7 +475,7 @@ def _forward_certificate(tree, base, base_to_orig, reductions):
     order = [ends[0]]
     while len(order) < 4:
         order.append(next(w for w in base.adj[order[-1]] if w not in order))
-    phi = {base_to_orig[b]: i for i, b in enumerate(order)}
+    phi = {b: i for i, b in enumerate(order)}
     n = 4
     steps = []
     for red in reversed(reductions):
@@ -417,35 +494,28 @@ def decompose_to_p4(tree):
 
     Returns None when the tree does not attain the lower bound.  Otherwise
     the proof's case analysis (_proof_move) peels one operation at a time
-    down to P_4, choosing each by structure alone, and the replay checks
-    every step's precondition and the rebuilt tree before the certificate
-    is returned.  There is no fallback search: a member on which no proof
-    move applies, a peel that splits the tree, or a certificate that does
-    not replay is a defect in the moves and raises InternalError.
+    down to P_4 on one mutable _Peel state, choosing each by structure
+    alone, and the replay checks every step's precondition and the rebuilt
+    tree before the certificate is returned.  There is no fallback search:
+    a member on which no proof move applies, a peel that splits the tree,
+    or a certificate that does not replay is a defect in the moves and
+    raises InternalError.
     """
     _require_diameter(diameter(tree))
-    if not _lower_bound_holds(tree):
+    if not _lower_bound_holds(tree.order, tree.parent):
         return None
+    state = _Peel(tree)
     reductions = []
-    cur = tree
-    to_orig = {v: v for v in range(tree.n)}
     try:
-        while cur.n > 4:
-            red = _proof_move(cur)
+        while state.n > 4:
+            red = _proof_move(state)
             if red is None:
                 raise InternalError(
-                    f"no proof move applies to a lower-bound member of order {cur.n}"
+                    f"no proof move applies to a lower-bound member of order {state.n}"
                 )
-            reductions.append(
-                _Reduction(
-                    red.kind,
-                    tuple(to_orig[x] for x in red.removed),
-                    to_orig[red.attach],
-                )
-            )
-            cur, old_to_new = red.remainder or cur.without(red.removed)
-            to_orig = {new: to_orig[old] for old, new in old_to_new.items()}
-        return _forward_certificate(tree, cur, to_orig, reductions)
+            state.remove(red.removed)
+            reductions.append(red)
+        return _forward_certificate(tree, state, reductions)
     except InternalError:
         raise
     except TreedomError as exc:

@@ -9,8 +9,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadParameterError, BadSpecError, PreconditionViolatedError
-from .solvers import in_some_optimal_set
+from .errors import (
+    BadParameterError,
+    BadSpecError,
+    PreconditionViolatedError,
+    VertexOutOfRangeError,
+)
+from .solvers import _in_some_optimal_set
 from .trees import Tree
 
 
@@ -169,9 +174,24 @@ def apply_operation(tree, step):
     PreconditionViolatedError is raised.  New vertices are labeled n,
     n+1, ... in role order.
     """
-    n = tree.n
+    edges = list(tree.edges)
+    _attach(list(tree.order), list(tree.parent), edges, step)
+    return Tree._trusted(len(edges) + 1, edges)
+
+
+def _attach(order, parent, edges, step):
+    """Apply one step in place to the tree on 0..n-1 given by its edge list
+    and a rooted (order, parent) pair (see solvers), with n = len(parent).
+
+    Checks the attachment vertex's range, the new labels and the
+    precondition (one membership DP along order), then appends the new
+    vertices' edges, their parents and the vertices themselves, each after
+    its parent, so that the lists stay a rooted order of the larger tree.
+    """
+    n = len(parent)
     v = step.attach_vertex
-    tree._check_vertex(v)
+    if not 0 <= v < n:
+        raise VertexOutOfRangeError(f"vertex {v} not in 0..{n - 1}")
     k = OP_SIZES[step.op_kind]
     expected = tuple(range(n, n + k))
     if step.new_vertex_labels is not None and step.new_vertex_labels != expected:
@@ -180,24 +200,28 @@ def apply_operation(tree, step):
             f"must be labeled {expected}, got {step.new_vertex_labels}"
         )
     which = OP_PRECONDITION[step.op_kind]
-    if not in_some_optimal_set(tree, v, which):
+    if not _in_some_optimal_set(order, parent, v, which):
         raise PreconditionViolatedError(
             f"{step.op_kind} at vertex {v}: vertex lies in no optimal "
             f"{'independent' if which == 'beta' else 'total co-independent dominating'} set"
         )
     if step.op_kind == "O1":
         (u,) = expected
-        new_edges = [(v, u)]
+        new_edges, parents, added = [(v, u)], [v], [u]
     elif step.op_kind == "O2":
         u1, u2 = expected
-        new_edges = [(v, u1), (u1, u2)]
+        new_edges, parents, added = [(v, u1), (u1, u2)], [v, u1], [u1, u2]
     elif step.op_kind == "O3":
         h1, u1, u2, h2 = expected
         new_edges = [(v, h1), (h1, u1), (u1, u2), (u2, h2)]
+        parents, added = [v, h1, u1, u2], [h1, u1, u2, h2]
     else:  # O4
         h1, u1, u2, h2 = expected
         new_edges = [(v, u1), (h1, u1), (u1, u2), (u2, h2)]
-    return Tree._trusted(n + k, tree.edges + tuple(new_edges))
+        parents, added = [u1, v, u1, u2], [u1, h1, u2, h2]
+    edges.extend(new_edges)
+    parent.extend(parents)
+    order.extend(added)
 
 
 # ---------------------------------------------------------------------------

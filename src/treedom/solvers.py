@@ -3,8 +3,9 @@ domination on trees.
 
 Each invariant has two independent routes:
 
-* a linear dynamic program along the BFS order from vertex 0 that Tree
-  keeps, optimizing the total of per-vertex weights (unit weights give the
+* a linear dynamic program along a rooted vertex order (the BFS order
+  from vertex 0 that Tree keeps, or a certificate replay's growing one),
+  optimizing the total of per-vertex weights (unit weights give the
   value; weights that encode vertex positions give the witness, and
   weights that single out one vertex answer membership-in-some-optimal-set,
   each in one pass), and
@@ -97,12 +98,17 @@ def is_minimal_tcoi_set(tree, members):
 
 
 # ---------------------------------------------------------------------------
-# Rooted dynamic programs (root = vertex 0)
+# Rooted dynamic programs
 #
-# Each DP starts every vertex at its childless state and walks tree.order
-# in reverse, folding each vertex's finished state into its parent's and
-# then dropping it.  The root is folded into last, so st[0] ends as the
-# whole tree's state.
+# Each DP folds along an (order, parent) pair: order lists the tree's
+# vertices with every vertex after its parent and order[0] the root, and
+# parent[v] is v's parent (a Tree's BFS order and parent, or any such pair,
+# such as a growing certificate replay's).  Both weight and parent are
+# indexed by vertex label, and labels outside order are never read, except
+# that their weights count towards inf.  Each DP starts every vertex at its
+# childless state and walks order in reverse, folding each vertex's
+# finished state into its parent's and then dropping it.  The root is
+# folded into last, so its state ends as the whole tree's.
 #
 # Every weight must be non-negative (callers pass unit weights, the 1/2/3
 # membership weights and the positive witness weights).  The minimizing
@@ -117,23 +123,22 @@ def is_minimal_tcoi_set(tree, members):
 # ---------------------------------------------------------------------------
 
 
-def _beta_opt(tree, weight):
+def _beta_opt(order, parent, weight):
     """Maximum total weight of an independent set."""
     dp_in = list(weight)
-    dp_out = [0] * tree.n
-    parent = tree.parent
-    for v in tree.order[:0:-1]:
+    dp_out = [0] * len(weight)
+    for v in order[:0:-1]:
         p = parent[v]
         i = dp_in[v]
         o = dp_out[v]
         dp_in[p] += o
         dp_out[p] += i if i > o else o
         dp_in[v] = dp_out[v] = None
-    i, o = dp_in[0], dp_out[0]
+    i, o = dp_in[order[0]], dp_out[order[0]]
     return i if i > o else o
 
 
-def _gamma_t_opt(tree, weight):
+def _gamma_t_opt(order, parent, weight):
     """Minimum total weight of a total dominating set, or None if infeasible.
 
     Per-vertex states, parent contribution excluded:
@@ -142,8 +147,7 @@ def _gamma_t_opt(tree, weight):
     """
     inf = sum(weight) + 1
     st = [(inf, w, inf, 0) for w in weight]
-    parent = tree.parent
-    for v in tree.order[:0:-1]:
+    for v in order[:0:-1]:
         ca, cb, cc, cd = st[v]
         st[v] = None
         p = parent[v]
@@ -157,12 +161,12 @@ def _gamma_t_opt(tree, weight):
         z = c + (ca if ca < cc else cc)
         w = d + ca
         st[p] = (x if x < y else y, b + out_c, z if z < w else w, d + cc)
-    a, _, c, _ = st[0]
+    a, _, c, _ = st[order[0]]
     ans = a if a < c else c
     return None if ans >= inf else ans
 
 
-def _tcoi_opt(tree, weight):
+def _tcoi_opt(order, parent, weight):
     """Minimum total weight of a total co-independent dominating set, or None.
 
     Per-vertex states: (in set, dominated?, subtree-has-out-vertex?) for
@@ -174,8 +178,7 @@ def _tcoi_opt(tree, weight):
     # a0/a1: in & dominated, without/with an out vertex below
     # b0/b1: in & undominated, likewise; o: v itself out
     st = [(inf, inf, w, inf, 0) for w in weight]
-    parent = tree.parent
-    for v in tree.order[:0:-1]:
+    for v in order[:0:-1]:
         ca0, ca1, cb0, cb1, co = st[v]
         st[v] = None
         p = parent[v]
@@ -204,18 +207,18 @@ def _tcoi_opt(tree, weight):
             (b1 if b1 < b0 else b0) + co,
             o + (ca0 if ca0 < ca1 else ca1),
         )
-    _, a1, _, _, o = st[0]
-    ans = a1 if a1 < o or tree.n < 2 else o
+    _, a1, _, _, o = st[order[0]]
+    ans = a1 if a1 < o or len(order) < 2 else o
     return None if ans >= inf else ans
 
 
 _DP = {"beta": _beta_opt, "gamma_t": _gamma_t_opt, "tcoi": _tcoi_opt}
 
 
-def _check_defined(tree, which):
-    if which == "gamma_t" and tree.n < 2:
+def _check_defined(n, which):
+    if which == "gamma_t" and n < 2:
         raise UndefinedInvariantError("total domination is undefined on a single vertex")
-    if which == "tcoi" and tree.n <= 2:
+    if which == "tcoi" and n <= 2:
         raise UndefinedInvariantError(
             "total co-independent domination is undefined for trees on at most 2 vertices"
         )
@@ -248,7 +251,8 @@ def _dp_witness(tree, which):
         raise TooLargeError(f"witnesses capped at {WITNESS_MAX_N} vertices, got {n}")
     top = 1 << n
     sign = 1 if which == "beta" else -1
-    total = _DP[which](tree, [top + sign * (1 << (n - 1 - v)) for v in range(n)])
+    weight = [top + sign * (1 << (n - 1 - v)) for v in range(n)]
+    total = _DP[which](tree.order, tree.parent, weight)
     size = total >> n if which == "beta" else -(-total >> n)
     bits = format(sign * (total - size * top), f"0{n}b")
     return size, frozenset(v for v, b in enumerate(bits) if b == "1")
@@ -256,11 +260,17 @@ def _dp_witness(tree, which):
 
 def invariant_value(tree, which):
     """Value of one invariant without witness reconstruction (faster)."""
-    _check_defined(tree, which)
-    val = _DP[which](tree, [1] * tree.n)
+    _check_defined(tree.n, which)
+    val = _unit_value(tree.order, tree.parent, which)
     if val is None:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
     return val
+
+
+def _unit_value(order, parent, which):
+    """Unit-weight optimum of the tree that (order, parent) spans, or None
+    if no feasible set exists."""
+    return _DP[which](order, parent, [1] * len(parent))
 
 
 def independence_number(tree):
@@ -270,13 +280,13 @@ def independence_number(tree):
 
 def total_domination_number(tree):
     """(gamma_t, witness); undefined for the single-vertex tree."""
-    _check_defined(tree, "gamma_t")
+    _check_defined(tree.n, "gamma_t")
     return _dp_witness(tree, "gamma_t")
 
 
 def tcoi_number(tree):
     """(gamma_t,coi, witness); undefined for trees on at most 2 vertices."""
-    _check_defined(tree, "tcoi")
+    _check_defined(tree.n, "tcoi")
     return _dp_witness(tree, "tcoi")
 
 
@@ -289,13 +299,19 @@ def in_some_optimal_set(tree, v, which):
     if which not in ("beta", "tcoi"):
         raise ValueError(f"unsupported invariant {which!r}")
     tree._check_vertex(v)
-    _check_defined(tree, which)
+    return _in_some_optimal_set(tree.order, tree.parent, v, which)
+
+
+def _in_some_optimal_set(order, parent, v, which):
+    """in_some_optimal_set for vertex v of the tree that (order, parent)
+    spans, in one DP pass."""
+    _check_defined(len(order), which)
     # A set S weighs 2|S|, plus 1 (beta) or minus 1 (tcoi) if it holds v.
     # Only sets of optimal size reach the weighted optimum, so the optimum
     # is odd iff some optimal set holds v.
-    weight = [2] * tree.n
+    weight = [2] * len(parent)
     weight[v] = 3 if which == "beta" else 1
-    return _DP[which](tree, weight) % 2 == 1
+    return _DP[which](order, parent, weight) % 2 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +353,7 @@ def _valid_chunks(tree, which, cap):
     n = tree.n
     if n > cap:
         raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
-    _check_defined(tree, which)
+    _check_defined(n, which)
     nb = _neighbor_masks(tree)
     for lo in range(0, 1 << n, _CHUNK):
         arr = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint64)

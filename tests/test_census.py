@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from treedom import census
+from treedom import census, characterize
 from treedom import (
     BadParameterError,
     TooLargeError,
@@ -153,6 +153,13 @@ class TestClassify:
         # P_6 is outside the lower family, so no certificate is attempted
         classify(path(6))
         assert sorted(dp_calls) == ["_beta_opt", "_gamma_t_opt", "_tcoi_opt"]
+
+    def test_one_structure_per_tree(self, counting):
+        # the stated upper condition reads the report classify already has
+        counting(census, "structure")
+        calls = counting(characterize, "structure")
+        classify(path(6))
+        assert calls == {"structure": 1}
 
     def test_each_code_computed_once(self, counting):
         calls = counting(census, "canonical_code")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -270,19 +271,19 @@ class TestDecompose:
         # surface as InternalError and CLI exit code 3
         real = characterize._proof_move
 
-        def defective(tree):
-            red = real(tree)
+        def defective(state):
+            red = real(state)
             if defect == "split":
-                inner = next(v for v in range(tree.n) if tree.degree(v) > 1)
+                inner = min(v for v, a in enumerate(state.adj) if len(a) > 1)
                 return characterize._Reduction(red.kind, (inner,), red.attach)
             if defect == "base":
                 # peeling the smallest leaf strips vertex 0 of its leaves and
                 # then takes vertex 0 itself, leaving the star K_1,3
-                leaf = min(v for v in range(tree.n) if tree.degree(v) == 1)
-                return characterize._Reduction("O1", (leaf,), tree.adj[leaf][0])
+                leaf = min(state.leaves)
+                (attach,) = state.adj[leaf]
+                return characterize._Reduction("O1", (leaf,), attach)
             # a leaf lies in no minimum tcoi set of a double star or of P_4
-            leaf = next(v for v in range(tree.n)
-                        if tree.degree(v) == 1 and v not in red.removed)
+            leaf = min(state.leaves - set(red.removed))
             return characterize._Reduction(red.kind, red.removed, leaf)
 
         monkeypatch.setattr(characterize, "_proof_move", defective)
@@ -340,36 +341,75 @@ class TestDecompose:
             rep = structure(t)
             if rep.semi_supports:
                 expected = reference_select_triple(t, rep)
-                got = characterize._select_triple(t, rep.leaves, rep.semi_supports)
+                got = characterize._select_triple(characterize._Peel(t))
                 assert got == expected, t
                 checked += 1
         assert checked == 795
 
-    def test_each_remainder_built_once(self, wide_trees, monkeypatch):
-        # every peel builds its remainder once, and the O2 remainder that a
-        # one-link chain tests is reused when O2 is chosen; only an O4 that
-        # follows a rejected O2 remainder builds a tree it then drops
+    def test_one_tree_built_per_member(self, wide_trees, monkeypatch):
+        # the peel works on one mutable state and the replay on growing
+        # lists; the only Tree built is the replayed one, for its code
         calls = []
-        real = Tree.without
+        real = Tree.__post_init__
 
-        def counting(self, removed):
+        def counting(self, **kwargs):
             calls.append(self.n)
-            return real(self, removed)
+            return real(self, **kwargs)
 
-        monkeypatch.setattr(Tree, "without", counting)
+        monkeypatch.setattr(Tree, "__post_init__", counting)
         members = 0
         for t in wide_trees(4, 12):
             if not attains_lower_bound(t):
                 continue
             calls.clear()
-            cert = decompose_to_p4(t)
-            o4 = sum(1 for s in cert.steps if s.op_kind == "O4")
-            assert len(calls) <= len(cert.steps) + o4, t
+            decompose_to_p4(t)
+            assert calls == [t.n], t
             members += 1
         assert members == 307
 
+    def test_peel_classes_match_recomputed(self, wide_trees):
+        # each removal reclassifies only near its edge; the classes must
+        # still equal their definitions on the whole remaining tree
+        for t in wide_trees(5, 12):
+            if not attains_lower_bound(t):
+                continue
+            state = characterize._Peel(t)
+            while state.n > 4:
+                state.remove(characterize._proof_move(state).removed)
+                adj = state.adj
+                alive = [v for v, a in enumerate(adj) if a]
+                leaves = {v for v in alive if len(adj[v]) == 1}
+                supports = {v for v in alive if v not in leaves and adj[v] & leaves}
+                semi = {v for v in alive
+                        if v not in leaves | supports and adj[v] & supports}
+                assert len(alive) == state.n, t
+                assert (state.leaves, state.supports, state.semi) == (
+                    leaves, supports, semi), t
+
+    @pytest.mark.parametrize("piece", [(1,), (1, 2), (0, 3), (9,), (-1,)])
+    def test_peel_rejects_a_piece_not_hanging_by_one_edge(self, piece):
+        # path 0-1-2-3-4: (1,) and (1, 2) split it, (0, 3) is two pieces,
+        # 9 and -1 are not vertices
+        state = characterize._Peel(path(5))
+        with pytest.raises(NotATreeError):
+            state.remove(piece)
+
+    def test_certificate_text_pinned(self, wide_trees):
+        # certificate_to_text of every lower-family member with n <= 12, in
+        # enumeration order, as the peel over rebuilt trees produced it
+        digest = hashlib.sha256()
+        members = 0
+        for t in wide_trees(4, 12):
+            cert = decompose_to_p4(t)
+            if cert is not None:
+                digest.update(certificate_to_text(cert).encode())
+                members += 1
+        assert members == 307
+        assert digest.hexdigest() == (
+            "74a81de199e45c6ecb14b3731f48417ed06bca91cbbe5f517fead9ad80accddd")
+
     def test_bfs_runs_per_step(self, monkeypatch):
-        # each step takes a few BFS runs (about 3.5 here); a distance matrix
+        # each step takes a few BFS runs (about 1.3 here); a distance matrix
         # per move would add n of them and make the certificate cubic
         t = grown_member(301, seed=0)
         calls = []
@@ -445,6 +485,11 @@ class TestCertificateText:
             certificate_from_text("O1 attach=0 new=4\ncanon=00")
         with pytest.raises(CertificateMismatchError):
             certificate_from_text("base=P4\nO9 attach=0 new=4\ncanon=00")
+
+    @pytest.mark.parametrize("canon", ["zz", "0"])
+    def test_bad_canon_hex(self, canon):
+        with pytest.raises(CertificateMismatchError):
+            certificate_from_text(f"base=P4\ncanon={canon}\n")
 
 
 class TestExhaustiveSearch:

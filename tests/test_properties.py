@@ -1,7 +1,9 @@
 """Hypothesis property tests: the DPs against the brute-force oracle,
 invariance under relabeling and the certificate peel's rerooting pass
-against BFS, on trees drawn as Prufer sequences; and certificates of
-lower-family members grown from P_4 by drawn valid O1-O4 steps.
+against BFS, on trees drawn as Prufer sequences; certificates of
+lower-family members grown from P_4 by drawn valid O1-O4 steps, the
+invariant shifts of each step, and the certificate replay against
+step-by-step apply_operation on drawn step sequences.
 
 Runs are derandomized, so the drawn trees are the same on every run.
 """
@@ -10,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treedom import (
+    InvalidStepError,
     OperationStep,
     PreconditionViolatedError,
+    TreedomError,
     apply_operation,
     bfs_distances,
     brute_force,
+    canonical_code,
     decompose_to_p4,
     in_some_optimal_set,
     independence_number,
@@ -25,7 +30,7 @@ from treedom import (
     total_domination_number,
     verify_certificate,
 )
-from treedom.characterize import _far_ends
+from treedom.characterize import _far_ends, _replay
 from treedom.generators import OP_KINDS, OP_SIZES
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
@@ -67,33 +72,99 @@ def test_invariant_under_relabeling(case):
 @DETERMINISTIC
 @given(trees(lo=5, hi=40))
 def test_far_ends_match_bfs(tree):
-    far = _far_ends(tree)
-    assert len(far) == 2 * (tree.n - 1)
+    down, up = _far_ends(tree.adj, tree.order, tree.parent)
     for u, w in tree.edges:
         for a, b in ((u, w), (w, u)):
             # x is on b's side of the edge a-b iff it is closer to b
             from_a, from_b = bfs_distances(tree, a), bfs_distances(tree, b)
             side = [x for x in range(tree.n) if from_b[x] < from_a[x]]
             d = max(from_b[x] for x in side)
-            assert far[(a, b)] == (d, min(x for x in side if from_b[x] == d))
+            got = down[b] if tree.parent[b] == a else up[a]
+            assert got == (-d, min(x for x in side if from_b[x] == d))
+
+
+def draw_valid_step(data, tree, kinds=OP_KINDS):
+    """(step, grown tree) for a drawn kind at the first vertex from a drawn
+    start on that the operation accepts; every tree of order >= 4 has one
+    for each kind."""
+    kind = data.draw(st.sampled_from(kinds))
+    start = data.draw(st.integers(0, tree.n - 1))
+    for i in range(tree.n):
+        step = OperationStep(kind, (start + i) % tree.n)
+        try:
+            return step, apply_operation(tree, step)
+        except PreconditionViolatedError:
+            continue
+    raise AssertionError(f"no vertex accepts {kind}")
+
+
+def draw_member(data, n):
+    """A lower-family member of order n, grown from P_4 by drawn valid steps."""
+    tree = path(4)
+    while tree.n < n:
+        _, tree = draw_valid_step(
+            data, tree, [k for k in OP_KINDS if OP_SIZES[k] <= n - tree.n])
+    return tree
 
 
 @settings(DETERMINISTIC, max_examples=200)
 @given(st.data())
 def test_grown_members_certify(data):
-    n = data.draw(st.integers(5, 60))
-    tree = path(4)
-    while tree.n < n:
-        kind = data.draw(st.sampled_from([k for k in OP_KINDS if OP_SIZES[k] <= n - tree.n]))
-        start = data.draw(st.integers(0, tree.n - 1))
-        # the first vertex from start on that the operation accepts; every
-        # tree of order >= 4 has one for each kind
-        for i in range(tree.n):
-            try:
-                tree = apply_operation(tree, OperationStep(kind, (start + i) % tree.n))
-                break
-            except PreconditionViolatedError:
-                continue
+    tree = draw_member(data, data.draw(st.integers(5, 60)))
     assert invariant_value(tree, "tcoi") == tree.n - invariant_value(tree, "beta")
     cert = decompose_to_p4(tree)
     assert verify_certificate(cert, tree)
+
+
+# (tcoi, beta) after a valid step minus before it
+SHIFTS = {"O1": (0, 1), "O2": (1, 1), "O3": (2, 2), "O4": (2, 2)}
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(st.data())
+def test_invariant_shifts_under_operations(data):
+    tree = draw_member(data, data.draw(st.integers(4, 30)))
+    step, grown = draw_valid_step(data, tree)
+    before = (invariant_value(tree, "tcoi"), invariant_value(tree, "beta"))
+    after = (invariant_value(grown, "tcoi"), invariant_value(grown, "beta"))
+    assert (after[0] - before[0], after[1] - before[1]) == SHIFTS[step.op_kind]
+    assert after[0] == grown.n - after[1]
+
+
+def fold_apply(steps):
+    """The replay as a fold of apply_operation: ("ok", code) or ("failed",
+    step index, type of the error)."""
+    tree = path(4)
+    for i, step in enumerate(steps):
+        try:
+            tree = apply_operation(tree, step)
+        except TreedomError as exc:
+            return "failed", i, type(exc)
+    return "ok", canonical_code(tree)
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(st.data())
+def test_replay_matches_apply_fold(data):
+    # valid steps, with or without their new labels, then maybe one step
+    # drawn without regard to validity: its attachment vertex may be out of
+    # range or in no optimal set, and its labels wrong
+    tree, steps = path(4), []
+    for _ in range(data.draw(st.integers(0, 10))):
+        step, grown = draw_valid_step(data, tree)
+        if data.draw(st.booleans()):
+            step = OperationStep(step.op_kind, step.attach_vertex,
+                                 range(tree.n, grown.n))
+        steps.append(step)
+        tree = grown
+    if data.draw(st.booleans()):
+        kind = data.draw(st.sampled_from(OP_KINDS))
+        first = tree.n + data.draw(st.sampled_from([0, 0, 1]))
+        labels = data.draw(st.sampled_from([None, range(first, first + OP_SIZES[kind])]))
+        steps.append(OperationStep(kind, data.draw(st.integers(-1, tree.n)), labels))
+    expected = fold_apply(steps)
+    try:
+        got = "ok", _replay(steps)
+    except InvalidStepError as exc:
+        got = "failed", exc.step_index, type(exc.__cause__)
+    assert got == expected

@@ -36,6 +36,7 @@ from treedom import (
 from treedom import solvers
 from treedom.cli import main
 from treedom.solvers import WITNESS_MAX_N
+from treedom.trees import _bfs
 
 
 def t11():
@@ -258,8 +259,10 @@ class TestMemory:
 
     def test_oracle_keeps_only_best_size_hits(self):
         # star(20) has 2^19 + 1 independent sets and one maximum one;
-        # keeping every valid mask would peak near 9 MB
+        # keeping every valid mask would peak near 9 MB.  The warm-up call
+        # pays numpy's lazy import outside the traced window.
         t = star(20)
+        brute_force(path(4), "beta")
         assert traced_peak(brute_force, t, "beta") < 4 << 20
 
 
@@ -402,10 +405,15 @@ def kernel_weights(n, rng, members):
 
 class TestKernelsMatchReference:
     def check(self, tree, rng, members):
+        # the kernels fold along the tree's own order and along a BFS order
+        # rooted at its last vertex; the optimum does not depend on the root
+        other = _bfs(tree.adj, tree.n - 1)
         for weight in kernel_weights(tree.n, rng, members):
             for which, ref in REFERENCE_DP.items():
-                assert solvers._DP[which](tree, weight) == ref(tree, weight), (
-                    tree, which, weight)
+                expected = ref(tree, weight)
+                for order, parent in ((tree.order, tree.parent), other[:2]):
+                    assert solvers._DP[which](order, parent, weight) == expected, (
+                        tree, which, weight, order[0])
 
     def test_small_trees(self, corpus):
         rng = random.Random(0)
