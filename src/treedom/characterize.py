@@ -32,6 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import (
+    BadParameterError,
     CertificateMismatchError,
     InternalError,
     InvalidStepError,
@@ -419,19 +420,19 @@ def _proof_move(state):
         return None
 
     if not semi:
-        # every vertex is a leaf or a support; peel an end support whose
-        # support-neighbor is not itself an end
-        sup_deg = {x: sum(1 for w in adj[x] if w in supports) for x in supports}
-        for s in sorted(supports):
-            if sup_deg[s] != 1:
-                continue
-            x = next(w for w in adj[s] if w in supports)
-            if sup_deg[x] < 2:
-                continue
-            lv = _leaf_neighbors(adj, s, leaves)
-            if len(lv) == 1 and adj[s] == {lv[0], x}:
-                return _Reduction("O2", (s, lv[0]), x)
-        return None
+        # No support has two leaves (the case above), so each has exactly
+        # one; and every non-leaf is a support, since on a path from a
+        # non-leaf non-support to a support the vertex before the first
+        # support would be a semi-support.  So the supports form a tree on
+        # n/2 >= 3 vertices, whose ends are exactly the supports of degree 2
+        # (one support neighbor and one leaf), and an end's support
+        # neighbor is never itself an end.  Peel the smallest end.
+        s = min((x for x in supports if len(adj[x]) == 2), default=None)
+        if s is None:
+            return None
+        (h,) = adj[s] & leaves
+        (x,) = adj[s] - leaves
+        return _Reduction("O2", (s, h), x)
 
     triple = _select_triple(state)
     if triple is None:
@@ -531,6 +532,8 @@ def exhaustive_sequence_search(tree, max_len=3):
     """All distinct operation-kind sequences of length <= max_len that build
     a tree isomorphic to the given one from P_4, each realized by some
     choice of attachment vertices."""
+    if max_len < 0:
+        raise BadParameterError(f"max_len must be >= 0, got {max_len}")
     _require_diameter(diameter(tree))
     target_code = canonical_code(tree)
     target_n = tree.n

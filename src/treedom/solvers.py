@@ -167,49 +167,37 @@ def _gamma_t_opt(order, parent, weight):
 
 
 def _tcoi_opt(order, parent, weight):
-    """Minimum total weight of a total co-independent dominating set, or None.
+    """Minimum total weight of a total co-independent dominating set, or
+    None on fewer than 3 vertices, where none exists.
 
-    Per-vertex states: (in set, dominated?, subtree-has-out-vertex?) for
-    members, plus a single "out" state (an out vertex forces all its
-    children into the set, already dominated within their subtrees, and
-    itself contributes the required out-vertex).
+    The definition asks for a non-empty complement, but on a tree with
+    n >= 3 that clause never binds: for any leaf h, V - {h} totally
+    dominates (h's support keeps another neighbor, and no other vertex
+    loses one), its complement {h} is independent and non-empty, and it
+    weighs no more than V.  So the DP may allow D = V, and it always finds
+    a feasible set.
+
+    Per-vertex states, parent contribution excluded:
+    a = in set & dominated by a child, b = in set & not yet dominated,
+    o = out of the set: its children are in state a (in the set, as the
+    complement is independent, and dominated below it), and its parent
+    must be in the set.
     """
+    if len(order) < 3:
+        return None
     inf = sum(weight) + 1
-    # a0/a1: in & dominated, without/with an out vertex below
-    # b0/b1: in & undominated, likewise; o: v itself out
-    st = [(inf, inf, w, inf, 0) for w in weight]
+    st = [(inf, w, 0) for w in weight]
     for v in order[:0:-1]:
-        ca0, ca1, cb0, cb1, co = st[v]
+        ca, cb, co = st[v]
         st[v] = None
         p = parent[v]
-        a0, a1, b0, b1, o = st[p]
-        in_t0 = ca0 if ca0 < cb0 else cb0
-        in_t1 = ca1 if ca1 < cb1 else cb1
-        any_t1 = in_t1 if in_t1 < co else co
-        in_t = in_t0 if in_t0 < in_t1 else in_t1
-        any_t = in_t0 if in_t0 < any_t1 else any_t1
-        x = a1 + any_t
-        y = a0 + any_t1
-        if y < x:
-            x = y
-        y = b1 + in_t
-        if y < x:
-            x = y
-        y = b0 + in_t1
-        if y < x:
-            x = y
-        st[p] = (
-            (a0 if a0 < b0 else b0) + in_t0,
-            x,
-            # b-state keeps "no child in set": only out children qualify,
-            # and an out child always carries the out flag
-            inf,
-            (b1 if b1 < b0 else b0) + co,
-            o + (ca0 if ca0 < ca1 else ca1),
-        )
-    _, a1, _, _, o = st[order[0]]
-    ans = a1 if a1 < o or len(order) < 2 else o
-    return None if ans >= inf else ans
+        a, b, o = st[p]
+        in_c = ca if ca < cb else cb  # child in the set: dominates p
+        x = a + (in_c if in_c < co else co)
+        y = b + in_c
+        st[p] = (x if x < y else y, b + co, o + ca)
+    a, _, o = st[order[0]]
+    return a if a < o else o
 
 
 _DP = {"beta": _beta_opt, "gamma_t": _gamma_t_opt, "tcoi": _tcoi_opt}

@@ -250,12 +250,11 @@ def serialize_graph6(tree):
             f"graph6 output is capped at {GRAPH6_MAX_N} vertices, got {n}; "
             "use --to edgelist"
         )
+    # GRAPH6_MAX_N is below 258048, so the 8-byte size field is never needed
     if n <= 62:
         prefix = [n]
-    elif n <= 258047:
-        prefix = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     else:
-        prefix = [63, 63] + [(n >> k) & 63 for k in range(30, -1, -6)]
+        prefix = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     present = set(tree.edges)
     bits = []
     for col in range(1, n):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from treedom import (
+    BadParameterError,
     Certificate,
     CertificateMismatchError,
     FamilyFSpec,
@@ -20,6 +21,7 @@ from treedom import (
     canonical_code,
     certificate_from_text,
     certificate_to_text,
+    comb,
     decompose_to_p4,
     distance_matrix,
     double_star,
@@ -28,6 +30,7 @@ from treedom import (
     invariant_value,
     is_independent_set,
     path,
+    q_tree,
     random_tree,
     serialize_edge_list,
     star,
@@ -408,6 +411,39 @@ class TestDecompose:
         assert digest.hexdigest() == (
             "74a81de199e45c6ecb14b3731f48417ed06bca91cbbe5f517fead9ad80accddd")
 
+    def test_q_tree_and_comb_certificates_pinned(self):
+        # certificate_to_text of q_tree(r), 2 <= r <= 100, then comb(k),
+        # 2 <= k <= 59: the peels without semi-supports run mostly here
+        digest = hashlib.sha256()
+        for t in [q_tree(r) for r in range(2, 101)] + [comb(k) for k in range(2, 60)]:
+            digest.update(certificate_to_text(decompose_to_p4(t)).encode())
+        assert digest.hexdigest() == (
+            "21f518ef9a56efffb1436c032e87ef22328fb67f8f62421b55322fbe598d7e34")
+
+    def test_no_semi_support_peels_see_a_support_tree(self, wide_trees, monkeypatch):
+        # the no-semi-support peel reads the support tree's ends off vertex
+        # degrees; on every state it runs on, each non-leaf must be a
+        # support with exactly one leaf, and there are at least 3 supports
+        real = characterize._proof_move
+        seen = []
+
+        def checking(state):
+            adj, leaves, supports = state.adj, state.leaves, state.supports
+            if not state.semi and all(len(adj[x] & leaves) < 2 for x in supports):
+                for v, nbrs in enumerate(adj):
+                    if nbrs and v not in leaves:
+                        assert v in supports and len(nbrs & leaves) == 1, state.adj
+                assert len(supports) >= 3
+                seen.append(state.n)
+            return real(state)
+
+        monkeypatch.setattr(characterize, "_proof_move", checking)
+        for r in range(2, 31):
+            decompose_to_p4(q_tree(r))
+        for t in wide_trees(4, 12):
+            decompose_to_p4(t)
+        assert len(seen) == 790
+
     def test_bfs_runs_per_step(self, monkeypatch):
         # each step takes a few BFS runs (about 1.3 here); a distance matrix
         # per move would add n of them and make the certificate cubic
@@ -506,6 +542,12 @@ class TestExhaustiveSearch:
 
     def test_p4_trivial(self):
         assert exhaustive_sequence_search(path(4), 2) == [()]
+
+    @pytest.mark.parametrize("tree", [double_star(2, 2), path(4)],
+                             ids=["double_star", "p4"])
+    def test_negative_max_len_rejected(self, tree):
+        with pytest.raises(BadParameterError):
+            exhaustive_sequence_search(tree, -1)
 
     def test_p6_unreachable(self):
         assert exhaustive_sequence_search(path(6), 3) == []

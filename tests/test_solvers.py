@@ -428,6 +428,25 @@ class TestKernelsMatchReference:
             self.check(t, rng, rng.sample(range(n), 3))
 
 
+class TestTcoiPremises:
+    """What the three-state tcoi DP rests on."""
+
+    def test_all_but_one_leaf_is_a_tcoi_set(self, corpus):
+        # V - {h} weighs no more than V, so allowing D = V never lowers the
+        # optimum, and the non-empty complement needs no state of its own
+        for t in corpus(3, 10):
+            everything = set(range(t.n))
+            for h in range(t.n):
+                if len(t.adj[h]) == 1:
+                    assert is_tcoi_set(t, everything - {h}), (t, h)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_undefined_below_three_vertices(self, n):
+        t = path(n)
+        for weight in ([1] * n, [0] * n, [2, 3][:n]):
+            assert solvers._DP["tcoi"](t.order, t.parent, weight) is None
+
+
 def largest_tcoi_complement(tree):
     """Size of the largest non-empty independent set I for which T - I has
     no isolated vertex, so that tcoi = n - this size (tree.n >= 3).

@@ -161,6 +161,12 @@ class TestGraph6:
         with pytest.raises(ParseError):
             parse_graph6(data)
 
+    def test_eight_byte_size_field_checked(self):
+        # "~~" starts the 8-byte size field, which only outside input uses:
+        # here it declares 2^30 vertices and no body
+        with pytest.raises(ParseError):
+            parse_graph6("~~@?????")
+
     def test_output_capped(self):
         with pytest.raises(TooLargeError, match="--to edgelist"):
             serialize_graph6(path(GRAPH6_MAX_N + 1))
