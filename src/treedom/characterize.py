@@ -12,15 +12,16 @@ on a one-link chain's O2 remainder, which picks reverse O2 or O4.  Every
 peel works on one mutable state (_Peel) in the input's own labels:
 adjacency sets and the leaf, support and semi-support classes, which each
 removal updates within distance 2 of its edge, so no Tree is built per
-peel.  A peel finds its deepest semi-support configuration with one
-rerooting pass over the directed edges (_far_ends), so each peel is linear
-and a certificate quadratic in n.  The forward replay it shares with
-verify_certificate is the only check of each step's precondition and of
-the rebuilt tree: it grows edge, order and parent lists with one
-membership DP per step and builds one Tree, for the final code.  A
-member on which no move applies, or whose certificate does not replay, is
-a defect in the moves, not a counterexample, and raises InternalError (no
-tree of order <= 18 does).  The upper family has a purely structural
+peel.  One BFS and one rerooting pass over the directed edges (_far_ends)
+find a peel's deepest semi-support configuration and serve the rest of
+it, so each peel is linear and a certificate quadratic in n.  The forward
+replay it shares with verify_certificate is the only check of each step's
+precondition and of the rebuilt tree: it grows edge lists with one
+membership DP per step, and its edges must be the input's under the
+peels' relabeling, so no Tree is built and the one code is the input's.
+A member on which no move applies, or whose certificate does not replay,
+is a defect in the moves, not a counterexample, and raises InternalError
+(no tree of order <= 18 does).  The upper family has a purely structural
 characterization: structural_upper_bound_check tests the condition as the
 paper states it, which is necessary but not sufficient, and
 upper_family_check tests the corrected condition, which is exact.
@@ -42,11 +43,13 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
 from .solvers import _unit_value, invariant_value
-from .trees import Tree, _bfs, _vertex_classes, canonical_code, diameter, structure
+from .trees import Tree, _bfs, _vertex_classes, canonical_code, structure
 
 
-def _require_diameter(d):
-    if d < 3:
+def _require_diameter(tree):
+    # diameter >= 3 iff two vertices have degree >= 2: the path between two
+    # such vertices extends past both ends, and a tree of diameter <= 2 is a star
+    if sum(len(a) > 1 for a in tree.adj) < 2:
         raise UndefinedInvariantError(
             "extremal family membership is defined only for trees of diameter >= 3"
         )
@@ -60,14 +63,14 @@ def _lower_bound_holds(order, parent):
 
 def attains_lower_bound(tree):
     """True iff the total co-independent domination number equals n - beta."""
-    _require_diameter(diameter(tree))
+    _require_diameter(tree)
     return _lower_bound_holds(tree.order, tree.parent)
 
 
 def attains_upper_bound(tree):
     """True iff the total co-independent domination number equals n - #leaves."""
+    _require_diameter(tree)
     rep = structure(tree)
-    _require_diameter(rep.diameter)
     return invariant_value(tree, "tcoi") == tree.n - len(rep.leaves)
 
 
@@ -80,8 +83,8 @@ def structural_upper_bound_check(tree):
     first at order 9 (the 8-path with a pendant on a middle vertex), so it
     is necessary and not sufficient.  upper_family_check is the exact test.
     """
+    _require_diameter(tree)
     rep = structure(tree)
-    _require_diameter(rep.diameter)
     return _stated_upper_condition(tree, rep)
 
 
@@ -111,8 +114,8 @@ def upper_family_check(tree):
     D-neighbor other than x, and the map is injective because u determines
     x; so |I| <= |L| and tcoi >= n - |L|.
     """
+    _require_diameter(tree)
     rep = structure(tree)
-    _require_diameter(rep.diameter)
     leaves = rep.leaves
     inner_degree = [
         sum(1 for w in tree.adj[u] if w not in leaves) for u in range(tree.n)
@@ -182,19 +185,19 @@ def certificate_from_text(text):
 
 
 def _replay(steps):
-    """Apply the steps from P_4 and return the result's canonical code; a
-    step that cannot be applied raises InvalidStepError with its index.
+    """Apply the steps from P_4 and return the result's edge list, each
+    edge (u, v) with u < v; a step that cannot be applied raises
+    InvalidStepError with its index.
 
     The tree grows as edge, order and parent lists (P_4 is 0-1-2-3 rooted
-    at 0), each step checked by one membership DP along them, and only the
-    final tree is built."""
+    at 0), each step checked by one membership DP along them."""
     order, parent, edges = [0, 1, 2, 3], [-1, 0, 1, 2], [(0, 1), (1, 2), (2, 3)]
     for i, step in enumerate(steps):
         try:
             _attach(order, parent, edges, step)
         except TreedomError as exc:
             raise InvalidStepError(i, str(exc)) from exc
-    return canonical_code(Tree._trusted(len(parent), edges))
+    return edges
 
 
 def verify_certificate(cert, target):
@@ -204,7 +207,8 @@ def verify_certificate(cert, target):
     its index) and CertificateMismatchError if the replayed tree does not
     match the recorded code or the target's isomorphism class.
     """
-    code = _replay(cert.steps)
+    edges = _replay(cert.steps)
+    code = canonical_code(Tree._trusted(len(edges) + 1, edges))
     if code != cert.final_code:
         raise CertificateMismatchError(
             "replayed tree does not match the certificate's recorded code"
@@ -288,7 +292,7 @@ def _leaf_neighbors(adj, v, leaves):
     return sorted(w for w in adj[v] if w in leaves)
 
 
-def _q_chain_move(state, v, s, h):
+def _q_chain_move(state, v, s, h, order, parent):
     """Peel for the caterpillar configuration hanging at semi-support v:
     follow the support chain from s and peel its far end (reverse O2), or,
     for a one-link chain whose O2 remainder leaves the lower family, peel
@@ -315,9 +319,8 @@ def _q_chain_move(state, v, s, h):
         return None
     h1 = h1_list[0]
     if adj[s1] == {s, h1}:
-        # s1 and h1 hang below s in a BFS order from s, so dropping them
-        # leaves a rooted order of the O2 remainder
-        order, parent, _ = _bfs(adj, s)
+        # order roots the tree at a leaf: s1 and h1 hang below s, or it
+        # starts h1, s1, s; either way the rest is a rooted order
         if _lower_bound_holds([x for x in order if x != s1 and x != h1], parent):
             return _Reduction("O2", (s1, h1), s)
         if adj[s] == {h, v, s1}:
@@ -370,18 +373,17 @@ def _far_ends(adj, order, parent):
     return down, up
 
 
-def _select_triple(state):
+def _select_triple(state, parent, down, up):
     """Pick (h, h2, v): leaves h, h2 at maximum distance whose connecting
     path passes through a semi-support v two steps from h.  Deterministic
     tie-break by smallest (h, h2, v).
 
     Such a v is a neighbor of h's support s, and every h2 past v lies on
     v's side of the edge s-v, so the farthest one is that edge's far end
-    (a leaf, because v is not one) at distance 2 + d.
+    (a leaf, because v is not one) at distance 2 + d, read off the far
+    ends (down, up) that _far_ends gives for the rooting parent.
     """
     adj, semi = state.adj, state.semi
-    order, parent, _ = _bfs(adj, next(iter(state.leaves)))
-    down, up = _far_ends(adj, order, parent)
     best = None
     for h in state.leaves:
         (s,) = adj[h]
@@ -406,9 +408,9 @@ def _proof_move(state):
     peeled as a caterpillar chain, a pendant 2-path, the whole pendant
     4-path (reverse O3), or a 4-vertex branch (reverse O4).  That
     configuration hangs off the longest leaf-to-leaf path through a
-    semi-support two steps from its first leaf (_select_triple, one
-    rerooting pass); the O3 walk toward the path's far leaf takes one BFS.
-    All of it is linear in n.
+    semi-support two steps from its first leaf (_select_triple).  One BFS
+    from a leaf and one rerooting pass serve the triple, the one-link O2
+    check and the O3 walk, so all of it is linear in n.
     """
     adj, leaves, supports, semi = state.adj, state.leaves, state.supports, state.semi
 
@@ -434,14 +436,16 @@ def _proof_move(state):
         (x,) = adj[s] - leaves
         return _Reduction("O2", (s, h), x)
 
-    triple = _select_triple(state)
+    order, parent, _ = _bfs(adj, next(iter(leaves)))
+    down, up = _far_ends(adj, order, parent)
+    triple = _select_triple(state, parent, down, up)
     if triple is None:
         return None
     h, h2, v = triple
     (s,) = adj[h]  # the support between h and v
 
     if any(w in supports for w in adj[s]):
-        return _q_chain_move(state, v, s, h)
+        return _q_chain_move(state, v, s, h, order, parent)
 
     # s has no support neighbor: it must be the degree-2 end of the path
     if adj[s] != {h, v}:
@@ -451,23 +455,25 @@ def _proof_move(state):
         return _Reduction("O2", (s, h), v)
     if len(adj[v]) != 2:
         return None
-    # walk two more steps toward h2
-    toward = _bfs(adj, h2)[1]
-    p = toward[v]
-    q = toward[p]
+    # walk two more steps toward h2: to v's other neighbor p, then to the
+    # neighbor q of p across which h2 is the far end
+    (p,) = adj[v] - {s}
+    q = next(c for c in adj[p] - {v} if (down[c] if parent[c] == p else up[p])[1] == h2)
     if adj[p] == {v, q}:
         return _Reduction("O3", (p, v, s, h), q)
     for w in sorted(adj[p] - {v, q}):
         if w in supports:
             wl = _leaf_neighbors(adj, w, leaves)
             if wl:
-                return _q_chain_move(state, p, w, wl[0])
+                return _q_chain_move(state, p, w, wl[0], order, parent)
     return None
 
 
 def _forward_certificate(tree, base, reductions):
     """Turn the peels (outermost first) into forward steps from the P_4
-    base they ended at, and check the result by replay."""
+    base they ended at, and check by replay that the steps rebuild the
+    tree itself under the relabeling phi they define, not only a tree
+    isomorphic to it; the certificate's code is then the tree's own."""
     ends = sorted(base.leaves)
     if base.n != 4 or len(ends) != 2:
         raise InternalError(
@@ -484,10 +490,10 @@ def _forward_certificate(tree, base, reductions):
         phi.update(zip(red.removed, labels))
         steps.append(OperationStep(red.kind, phi[red.attach], labels))
         n += len(labels)
-    code = _replay(steps)
-    if code != canonical_code(tree):
-        raise CertificateMismatchError("replayed tree is not isomorphic to the target")
-    return Certificate(tuple(steps), code)
+    mapped = sorted(tuple(sorted((phi[u], phi[v]))) for u, v in tree.edges)
+    if sorted(_replay(steps)) != mapped:
+        raise CertificateMismatchError("replay is not the target under the relabeling")
+    return Certificate(tuple(steps), canonical_code(tree))
 
 
 def decompose_to_p4(tree):
@@ -496,13 +502,14 @@ def decompose_to_p4(tree):
     Returns None when the tree does not attain the lower bound.  Otherwise
     the proof's case analysis (_proof_move) peels one operation at a time
     down to P_4 on one mutable _Peel state, choosing each by structure
-    alone, and the replay checks every step's precondition and the rebuilt
-    tree before the certificate is returned.  There is no fallback search:
-    a member on which no proof move applies, a peel that splits the tree,
-    or a certificate that does not replay is a defect in the moves and
-    raises InternalError.
+    alone.  The replay checks every step's precondition, and that the steps
+    rebuild the tree itself under the peels' relabeling, before the
+    certificate is returned with the tree's own canonical code.  There is
+    no fallback search: a member on which no proof move applies, a peel
+    that splits the tree, or a certificate that does not replay is a defect
+    in the moves and raises InternalError.
     """
-    _require_diameter(diameter(tree))
+    _require_diameter(tree)
     if not _lower_bound_holds(tree.order, tree.parent):
         return None
     state = _Peel(tree)
@@ -534,7 +541,7 @@ def exhaustive_sequence_search(tree, max_len=3):
     choice of attachment vertices."""
     if max_len < 0:
         raise BadParameterError(f"max_len must be >= 0, got {max_len}")
-    _require_diameter(diameter(tree))
+    _require_diameter(tree)
     target_code = canonical_code(tree)
     target_n = tree.n
     reach = [{0}]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import census as census_mod
 from . import characterize, generators, solvers, trees
@@ -115,28 +116,27 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _run_census(max_n):
+def _check_max_n(max_n):
     # below 3 there is no tree to check, and "all theorems hold" would say
     # nothing
     if max_n < 3:
         raise BadParameterError(f"--max-n must be at least 3, got {max_n}")
-    return census_mod.run_census(max_n)
 
 
 def _cmd_census(args):
-    records, report = _run_census(args.max_n)
-    csv_text = census_mod.records_to_csv(records)
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _check_max_n(args.max_n)
+    # open the output before the run, so that a bad path fails at once
+    out = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        records, report = census_mod.run_census(args.max_n)
+        fh.write(census_mod.records_to_csv(records))
     print(json.dumps(report, indent=2), file=sys.stderr)
     return EXIT_OK if report["all_hold"] else EXIT_NEGATIVE
 
 
 def _cmd_verify(args):
-    _, report = _run_census(args.max_n)
+    _check_max_n(args.max_n)
+    _, report = census_mod.run_census(args.max_n)
     print(json.dumps(report, indent=2))
     if report["all_hold"]:
         print("all theorems hold")

@@ -108,16 +108,9 @@ class Tree:
             n = max(max(e) for e in edges) + 1
         return cls(n, tuple(edges))
 
-    def neighbors(self, v):
-        self._check_vertex(v)
-        return self.adj[v]
-
     def degree(self, v):
         self._check_vertex(v)
         return len(self.adj[v])
-
-    def vertices(self):
-        return range(self.n)
 
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
@@ -334,7 +327,7 @@ def center(tree):
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Vertex classes and degree/diameter summary of a tree.
+    """Vertex classes and diameter of a tree.
 
     leaves: degree-1 vertices (the single vertex of K_1 counts as a leaf).
     supports: non-leaves adjacent to a leaf.
@@ -346,8 +339,6 @@ class StructureReport:
     supports: VertexSet
     semi_supports: VertexSet
     isolated_supports: VertexSet
-    min_degree: int
-    max_degree: int
     diameter: int
 
 
@@ -376,14 +367,11 @@ def structure(tree):
     isolated = frozenset(
         v for v in supports if not any(w in supports for w in tree.adj[v])
     )
-    degs = [len(a) for a in tree.adj]
     return StructureReport(
         leaves=leaves,
         supports=supports,
         semi_supports=semi,
         isolated_supports=isolated,
-        min_degree=min(degs),
-        max_degree=max(degs),
         diameter=diameter(tree),
     )
 

@@ -23,6 +23,7 @@ from treedom import (
     certificate_to_text,
     comb,
     decompose_to_p4,
+    diameter,
     distance_matrix,
     double_star,
     exhaustive_sequence_search,
@@ -129,6 +130,18 @@ class TestFamilyMembership:
                    decompose_to_p4):
             with pytest.raises(UndefinedInvariantError):
                 fn(tree)
+
+    def test_diameter_test_reads_degrees(self, corpus):
+        # membership reads diameter >= 3 off the degrees (two vertices of
+        # degree >= 2); it must refuse exactly the trees of diameter < 3
+        for t in corpus(1, 10):
+            for fn in (attains_lower_bound, decompose_to_p4):
+                try:
+                    fn(t)
+                    refused = False
+                except UndefinedInvariantError:
+                    refused = True
+                assert refused == (diameter(t) < 3), t
 
 
 class TestStructuralCheck:
@@ -265,17 +278,22 @@ class TestDecompose:
         assert main(["certify", str(f)]) == 3
         assert capsys.readouterr().err.startswith("internal error:")
 
-    @pytest.mark.parametrize("defect", ["precondition", "split", "base"])
+    @pytest.mark.parametrize("defect", ["precondition", "split", "base", "roles"])
     def test_defective_move_is_internal_error(self, defect, tmp_path, capsys,
                                               monkeypatch):
         # the peel is structural and the replay is the only check, so a move
         # whose forward step breaks its precondition, whose removal splits
-        # the tree, or that peels down to a tree other than P_4 must still
-        # surface as InternalError and CLI exit code 3
+        # the tree, that peels down to a tree other than P_4, or that lists
+        # its piece in the wrong role order must still surface as
+        # InternalError and CLI exit code 3
         real = characterize._proof_move
 
         def defective(state):
             red = real(state)
+            if defect == "roles":
+                if red.kind != "O4":
+                    return red
+                return characterize._Reduction("O4", red.removed[::-1], red.attach)
             if defect == "split":
                 inner = min(v for v, a in enumerate(state.adj) if len(a) > 1)
                 return characterize._Reduction(red.kind, (inner,), red.attach)
@@ -291,11 +309,18 @@ class TestDecompose:
 
         monkeypatch.setattr(characterize, "_proof_move", defective)
         t = double_star(3, 3)
+        if defect == "roles":
+            # peeled by one reverse O4; with its roles reversed the rebuilt
+            # tree is still isomorphic, but not the input under the relabeling
+            t = Tree(9, ((0, 1), (0, 5), (1, 2), (1, 4), (2, 3), (5, 6),
+                         (5, 8), (6, 7)))
         with pytest.raises(InternalError) as exc:
             decompose_to_p4(t)
         cause = exc.value.__cause__
         if defect == "split":
             assert isinstance(cause, NotATreeError)
+        elif defect == "roles":
+            assert isinstance(cause, CertificateMismatchError)
         elif defect == "base":
             assert "other than P_4" in str(exc.value)
         else:
@@ -314,7 +339,8 @@ class TestDecompose:
         assert len(dp_calls) == 2 + len(cert.steps)
 
     def test_two_canonical_codes_per_member(self, monkeypatch):
-        # one for the replayed tree and one for the input
+        # the replay is checked against the input's edges under the peel's
+        # relabeling, so only the input is encoded
         calls = []
         real = characterize.canonical_code
 
@@ -324,7 +350,7 @@ class TestDecompose:
 
         monkeypatch.setattr(characterize, "canonical_code", counting)
         decompose_to_p4(double_star(3, 3))
-        assert calls == [8, 8]
+        assert calls == [8]
 
     def test_families_coincide_iff_leaves_attain_beta(self, wide_trees):
         for t in wide_trees(4, 12):
@@ -344,14 +370,17 @@ class TestDecompose:
             rep = structure(t)
             if rep.semi_supports:
                 expected = reference_select_triple(t, rep)
-                got = characterize._select_triple(characterize._Peel(t))
+                state = characterize._Peel(t)
+                order, parent, _ = trees._bfs(state.adj, next(iter(state.leaves)))
+                down, up = characterize._far_ends(state.adj, order, parent)
+                got = characterize._select_triple(state, parent, down, up)
                 assert got == expected, t
                 checked += 1
         assert checked == 795
 
     def test_one_tree_built_per_member(self, wide_trees, monkeypatch):
         # the peel works on one mutable state and the replay on growing
-        # lists; the only Tree built is the replayed one, for its code
+        # lists, checked against the input's own edges, so no Tree is built
         calls = []
         real = Tree.__post_init__
 
@@ -366,7 +395,7 @@ class TestDecompose:
                 continue
             calls.clear()
             decompose_to_p4(t)
-            assert calls == [t.n], t
+            assert calls == [], t
             members += 1
         assert members == 307
 
@@ -420,6 +449,18 @@ class TestDecompose:
         assert digest.hexdigest() == (
             "21f518ef9a56efffb1436c032e87ef22328fb67f8f62421b55322fbe598d7e34")
 
+    def test_grown_member_certificates_pinned(self):
+        # certificate_to_text of members grown from P_4 with 40 to 320
+        # vertices: the O3 walk and the one-link O2 check run more often
+        # here than on the small members
+        digest = hashlib.sha256()
+        for n in (40, 80, 160, 320):
+            for seed in (0, 1):
+                cert = decompose_to_p4(grown_member(n, seed))
+                digest.update(certificate_to_text(cert).encode())
+        assert digest.hexdigest() == (
+            "88f5e0dd5a1a7f21cfac37006014c409b586b3a32df82fd139cf9538409bcc5d")
+
     def test_no_semi_support_peels_see_a_support_tree(self, wide_trees, monkeypatch):
         # the no-semi-support peel reads the support tree's ends off vertex
         # degrees; on every state it runs on, each non-leaf must be a
@@ -445,8 +486,10 @@ class TestDecompose:
         assert len(seen) == 790
 
     def test_bfs_runs_per_step(self, monkeypatch):
-        # each step takes a few BFS runs (about 1.3 here); a distance matrix
-        # per move would add n of them and make the certificate cubic
+        # a peel takes at most one BFS, and only when it needs the longest
+        # path (84 runs for 116 steps here, counting the input's canonical
+        # code); a distance matrix per move would add n of them and make the
+        # certificate cubic
         t = grown_member(301, seed=0)
         calls = []
         real = trees._bfs
@@ -459,12 +502,12 @@ class TestDecompose:
         monkeypatch.setattr(characterize, "_bfs", counting)
         cert = decompose_to_p4(t)
         assert len(cert.steps) > 100
-        assert len(calls) <= 5 * len(cert.steps)
+        assert len(calls) <= len(cert.steps)
         assert not hasattr(characterize, "distance_matrix")
 
     def test_one_diameter_per_certificate(self, monkeypatch):
-        # the membership precondition reads the diameter once; the peels
-        # read vertex classes only
+        # the membership precondition reads diameter >= 3 off the vertex
+        # degrees, and the peels read vertex classes only
         t = grown_member(301, seed=0)
         calls = []
         real = trees.diameter
@@ -474,10 +517,10 @@ class TestDecompose:
             return real(tree)
 
         monkeypatch.setattr(trees, "diameter", counting)
-        monkeypatch.setattr(characterize, "diameter", counting)
         cert = decompose_to_p4(t)
         assert len(cert.steps) > 100
-        assert calls == [301]
+        assert calls == []
+        assert not hasattr(characterize, "diameter")
 
 
 class TestVerifyCertificate:

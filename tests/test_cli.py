@@ -176,6 +176,18 @@ class TestCensusVerify:
         report = json.loads(err)
         assert report["all_hold"] is True
 
+    def test_census_bad_out_fails_before_the_run(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the output path is opened first, so a bad one exits 2 at once
+        # instead of after the whole census
+        def fail(max_n):
+            raise AssertionError("the census ran")
+
+        monkeypatch.setattr(treedom.census, "run_census", fail)
+        rc = main(["census", "--max-n", "12", "--out", str(tmp_path / "no" / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("args", [
         ["verify", "--max-n", "-4"],
         ["verify", "--max-n", "2"],

@@ -226,7 +226,7 @@ class TestStructure:
     def test_single_vertex_is_leaf(self):
         rep = structure(Tree(1))
         assert rep.leaves == {0}
-        assert rep.diameter == 0 and rep.min_degree == 0
+        assert rep.diameter == 0
 
     def test_p2(self):
         rep = structure(path(2))
