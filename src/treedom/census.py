@@ -6,9 +6,12 @@ of Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
 trees", SIAM J. Comput. 15, 1986): it walks the rooted level sequences in
 the Beyer-Hedetniemi successor order and jumps over every run of
 sequences that are not the canonical rooting of a free tree, so no tree
-is built or encoded twice.  run_census classifies every tree up to a
-given order, computing each tree's canonical code once, and counts
-violations of the verified statements; all counters must be zero.
+is built or encoded twice.  run_census reads each tree's record off its
+sequence, one tree at a time (_classify_levels, which classify reaches
+through a center-rooted preorder); it builds a Tree only for a
+lower-family member's certificate and for the subset checks, which test
+bit masks.  It counts violations of the verified statements; all counters
+must be zero.
 """
 
 from __future__ import annotations
@@ -20,12 +23,19 @@ from dataclasses import dataclass
 from .characterize import _stated_upper_condition, decompose_to_p4
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
-    all_tcoi_sets,
-    invariant_value,
+    SUBSET_CAP,
+    _optimal_masks,
+    _unit_value,
+    _valid_chunks,
     is_minimal_tcoi_set,
-    optimal_sets,
 )
-from .trees import Tree, canonical_code, distance_matrix, structure
+from .trees import (
+    Tree,
+    _center_levels,
+    _level_code,
+    _vertex_classes,
+    canonical_code,  # re-exported
+)
 
 ENUMERATION_CAP = 18
 
@@ -93,14 +103,21 @@ def _free_level_sequences(n):
                 seq[n - h:] = range(1, h + 1)
 
 
+def _levels_parent(seq):
+    """Each vertex's parent in the level sequence seq (-1 at the root): the
+    latest vertex one level up."""
+    parent = [-1] * len(seq)
+    latest = [0] * len(seq)  # latest vertex seen at each level
+    for i in range(1, len(seq)):
+        d = seq[i]
+        parent[i] = latest[d - 1]
+        latest[d] = i
+    return parent
+
+
 def _tree_from_levels(seq):
-    n = len(seq)
-    edges = []
-    latest = [0] * n  # latest vertex seen at each level
-    for i in range(1, n):
-        edges.append((latest[seq[i] - 1], i))
-        latest[seq[i]] = i
-    return Tree._trusted(n, edges)
+    parent = _levels_parent(seq)
+    return Tree._trusted(len(seq), [(parent[i], i) for i in range(1, len(seq))])
 
 
 def enumerate_trees(n):
@@ -134,22 +151,42 @@ class CensusRecord:
     certificate_found: bool | None
 
 
-def classify(tree):
-    rep = structure(tree)
-    beta = invariant_value(tree, "beta")
-    gamma_t = invariant_value(tree, "gamma_t") if tree.n >= 2 else None
-    tcoi = invariant_value(tree, "tcoi") if tree.n >= 3 else None
+def _classify_levels(seq, tree=None):
+    """The CensusRecord of the tree with center-rooted level sequence seq.
+
+    The DPs fold along its preorder.  The diameter is the sum of the two
+    highest subtree heights at the center: h and h - 1 exactly when the
+    tree is bicentral.  A lower-family member's certificate takes tree
+    (any tree of the class), else one built from seq.
+    """
+    n = len(seq)
+    h = max(seq)
+    rest = max(seq[_second_subtree(seq):], default=0)
+    parent = _levels_parent(seq)
+    adj = [[] for _ in range(n)]
+    for i in range(1, n):
+        adj[parent[i]].append(i)
+        adj[i].append(parent[i])
+    order = range(n)
+    beta = _unit_value(order, parent, "beta")
+    gamma_t = _unit_value(order, parent, "gamma_t")
+    tcoi = _unit_value(order, parent, "tcoi")
+    classes = _vertex_classes(adj)
+    leaves = len(classes[0])
+    diam = h + rest
     in_beta = in_l = structural = certified = None
-    if rep.diameter >= 3:
-        in_beta = tcoi == tree.n - beta
-        in_l = tcoi == tree.n - len(rep.leaves)
-        structural = _stated_upper_condition(tree, rep)
+    if diam >= 3:
+        in_beta = tcoi == n - beta
+        in_l = tcoi == n - leaves
+        structural = _stated_upper_condition(adj, classes)
+        if in_beta and tree is None:
+            tree = _tree_from_levels(seq)
         certified = in_beta and decompose_to_p4(tree) is not None
     return CensusRecord(
-        canon=canonical_code(tree),
-        n=tree.n,
-        diameter=rep.diameter,
-        num_leaves=len(rep.leaves),
+        canon=_level_code(seq, rest < h),
+        n=n,
+        diameter=diam,
+        num_leaves=leaves,
         beta=beta,
         gamma_t=gamma_t,
         tcoi=tcoi,
@@ -158,6 +195,12 @@ def classify(tree):
         structural_tl=structural,
         certificate_found=certified,
     )
+
+
+def classify(tree):
+    """The CensusRecord of any tree, from a center-rooted preorder of it."""
+    seq, _ = _center_levels(tree)
+    return _classify_levels(seq, tree)
 
 
 CSV_HEADER = [
@@ -189,11 +232,18 @@ def records_to_csv(records):
 
 def check_distance_remark(tree):
     """True iff in every maximum independent set, each member has another
-    member within distance 3."""
-    dm = distance_matrix(tree)
-    for b in optimal_sets(tree, "beta"):
-        for v in b:
-            if not any(u != v and dm[v][u] <= 3 for u in b):
+    member within distance 3 (ball[v]: the vertices within distance 3)."""
+    n = tree.n
+    ball = [1 << v for v in range(n)]
+    for _ in range(3):
+        grown = list(ball)
+        for u, v in tree.edges:
+            grown[u] |= ball[v]
+            grown[v] |= ball[u]
+        ball = grown
+    for hits in _optimal_masks(tree, "beta", SUBSET_CAP):
+        for m in hits.tolist():
+            if not all((m ^ 1 << v) & ball[v] for v in range(n) if m >> v & 1):
                 return False
     return True
 
@@ -202,14 +252,13 @@ def check_minimality_agreement(tree):
     """True iff the condition-based minimality test agrees with direct
     single-removal minimality on every total co-independent dominating set.
 
-    all_tcoi_sets lists every such set, so D - {v} is one exactly when its
-    mask is among theirs."""
-    sets = all_tcoi_sets(tree)
-    masks = [sum(1 << v for v in d) for d in sets]
+    D - {v} is one exactly when its mask is among the enumerated ones."""
+    masks = [m for hits in _valid_chunks(tree, "tcoi", SUBSET_CAP) for m in hits.tolist()]
     valid = set(masks)
-    for d, m in zip(sets, masks):
+    for m in masks:
+        d = [v for v in range(tree.n) if m >> v & 1]
         by_condition = is_minimal_tcoi_set(tree, d)
-        by_removal = not any(m ^ (1 << v) in valid for v in d)
+        by_removal = not any(m ^ 1 << v in valid for v in d)
         if by_condition != by_removal:
             return False
     return True
@@ -247,8 +296,10 @@ def run_census(max_n):
             first = {"check": name, "n": rec.n, "canon": rec.canon.hex()}
 
     for n in range(3, max_n + 1):
-        for tree in enumerate_trees(n):
-            rec = classify(tree)
+        for seq in _free_level_sequences(n):
+            # the subset checks' Tree, shared with a member's certificate
+            tree = _tree_from_levels(seq) if n <= DISTANCE_REMARK_MAX_N else None
+            rec = _classify_levels(seq, tree)
             records.append(rec)
             if rec.diameter >= 3:
                 if not (rec.n - rec.beta <= rec.tcoi <= rec.n - rec.num_leaves):

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
 from .solvers import _unit_value, invariant_value
-from .trees import Tree, _bfs, _vertex_classes, canonical_code, structure
+from .trees import Tree, _bfs, _vertex_classes, canonical_code
 
 
 def _require_diameter(tree):
@@ -70,8 +70,8 @@ def attains_lower_bound(tree):
 def attains_upper_bound(tree):
     """True iff the total co-independent domination number equals n - #leaves."""
     _require_diameter(tree)
-    rep = structure(tree)
-    return invariant_value(tree, "tcoi") == tree.n - len(rep.leaves)
+    leaves = sum(len(a) <= 1 for a in tree.adj)
+    return invariant_value(tree, "tcoi") == tree.n - leaves
 
 
 def structural_upper_bound_check(tree):
@@ -84,20 +84,17 @@ def structural_upper_bound_check(tree):
     is necessary and not sufficient.  upper_family_check is the exact test.
     """
     _require_diameter(tree)
-    rep = structure(tree)
-    return _stated_upper_condition(tree, rep)
+    return _stated_upper_condition(tree.adj, _vertex_classes(tree.adj))
 
 
-def _stated_upper_condition(tree, rep):
-    """structural_upper_bound_check for a tree of diameter >= 3 whose
-    StructureReport is rep."""
-    covered = rep.leaves | rep.supports | rep.semi_supports
-    if len(covered) != tree.n:
+def _stated_upper_condition(adj, classes):
+    """structural_upper_bound_check for the tree of diameter >= 3 with
+    neighbor lists adj, whose _vertex_classes are classes."""
+    leaves, supports, semi, isolated = classes
+    # the classes are disjoint, so they cover the tree iff their sizes add up
+    if len(leaves) + len(supports) + len(semi) != len(adj):
         return False
-    return all(
-        any(w in rep.isolated_supports for w in tree.adj[v])
-        for v in rep.semi_supports
-    )
+    return all(not isolated.isdisjoint(adj[v]) for v in semi)
 
 
 def upper_family_check(tree):
@@ -115,15 +112,14 @@ def upper_family_check(tree):
     x; so |I| <= |L| and tcoi >= n - |L|.
     """
     _require_diameter(tree)
-    rep = structure(tree)
-    leaves = rep.leaves
+    leaves, supports, _, _ = _vertex_classes(tree.adj)
     inner_degree = [
         sum(1 for w in tree.adj[u] if w not in leaves) for u in range(tree.n)
     ]
     return all(
         any(inner_degree[u] == 1 for u in tree.adj[v])
         for v in range(tree.n)
-        if v not in leaves and v not in rep.supports
+        if v not in leaves and v not in supports
     )
 
 
@@ -242,7 +238,7 @@ class _Peel:
     def __init__(self, tree):
         self.adj = [set(a) for a in tree.adj]
         self.n = tree.n
-        self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree))
+        self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree.adj)[:3])
 
     def remove(self, piece):
         """Delete the piece, which must hang from the rest by exactly one

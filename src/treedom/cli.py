@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
 
 from . import census as census_mod
 from . import characterize, generators, solvers, trees
@@ -125,11 +124,17 @@ def _check_max_n(max_n):
 
 def _cmd_census(args):
     _check_max_n(args.max_n)
-    # open the output before the run, so that a bad path fails at once
-    out = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
-    with out as fh:
-        records, report = census_mod.run_census(args.max_n)
-        fh.write(census_mod.records_to_csv(records))
+    if args.out:
+        # a bad path fails at once, not after the run; append mode leaves
+        # an existing file as it is until the run has succeeded
+        open(args.out, "a", encoding="ascii").close()
+    records, report = census_mod.run_census(args.max_n)
+    text = census_mod.records_to_csv(records)
+    if args.out:
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     print(json.dumps(report, indent=2), file=sys.stderr)
     return EXIT_OK if report["all_hold"] else EXIT_NEGATIVE
 

@@ -84,17 +84,18 @@ def is_minimal_tcoi_set(tree, members):
     a tcoi set at all.
     """
     s = _as_set(tree, members)
-    if not is_tcoi_set(tree, s):
+    nb = _neighbor_masks(tree)
+    m = sum(1 << v for v in s)
+    # a tcoi set leaves some vertex out, dominates every vertex, and holds
+    # every neighbor of each vertex it leaves out
+    if m == (1 << tree.n) - 1 or not all(
+        nb[v] & m and (m >> v & 1 or not nb[v] & ~m) for v in range(tree.n)
+    ):
         raise NotATcoiSetError(f"{sorted(s)} is not a total co-independent dominating set")
-    adj = tree.adj
-    dominators = [0] * tree.n  # in-set neighbors of each vertex
-    for v in s:
-        for w in adj[v]:
-            dominators[w] += 1
-    for v in s:
-        if not any(dominators[w] == 1 or w not in s for w in adj[v]):
-            return False
-    return True
+    # v is w's sole dominator when w's in-set neighbors are v alone
+    return all(
+        nb[v] & ~m or any(nb[w] & m == 1 << v for w in tree.adj[v]) for v in s
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +354,10 @@ def _mask_sets(chunks, n):
             for masks in chunks for m in masks]
 
 
-def _optimal_sets(tree, which, cap):
-    # keeps only the best-size hits of each chunk, dropping them all when a
-    # later chunk holds a better size
+def _optimal_masks(tree, which, cap):
+    # the optimal sets' masks, as uint64 arrays: keeps only the best-size
+    # hits of each chunk, dropping them all when a later chunk holds a
+    # better size
     from numpy import bitwise_count
 
     maximize = which == "beta"
@@ -371,7 +373,11 @@ def _optimal_sets(tree, which, cap):
             kept.append(hits[sizes == size])
     if best is None:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
-    return sorted(_mask_sets(kept, tree.n), key=sorted)
+    return kept
+
+
+def _optimal_sets(tree, which, cap):
+    return sorted(_mask_sets(_optimal_masks(tree, which, cap), tree.n), key=sorted)
 
 
 def brute_force(tree, which):

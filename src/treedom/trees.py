@@ -342,31 +342,26 @@ class StructureReport:
     diameter: int
 
 
-def _vertex_classes(tree):
-    """(leaves, supports, semi_supports) as StructureReport defines them,
+def _vertex_classes(adj):
+    """(leaves, supports, semi_supports, isolated_supports) as
+    StructureReport defines them, of the tree with neighbor lists adj,
     without the diameter BFS."""
-    adj = tree.adj
-    leaves = frozenset(v for v in range(tree.n) if len(adj[v]) <= 1)
+    n = len(adj)
+    leaves = frozenset(v for v in range(n) if len(adj[v]) <= 1)
     supports = frozenset(
-        v
-        for v in range(tree.n)
-        if v not in leaves and any(w in leaves for w in adj[v])
+        v for v in range(n) if v not in leaves and not leaves.isdisjoint(adj[v])
     )
     semi = frozenset(
         v
-        for v in range(tree.n)
-        if v not in leaves
-        and v not in supports
-        and any(w in supports for w in adj[v])
+        for v in range(n)
+        if v not in leaves and v not in supports and not supports.isdisjoint(adj[v])
     )
-    return leaves, supports, semi
+    isolated = frozenset(v for v in supports if supports.isdisjoint(adj[v]))
+    return leaves, supports, semi, isolated
 
 
 def structure(tree):
-    leaves, supports, semi = _vertex_classes(tree)
-    isolated = frozenset(
-        v for v in supports if not any(w in supports for w in tree.adj[v])
-    )
+    leaves, supports, semi, isolated = _vertex_classes(tree.adj)
     return StructureReport(
         leaves=leaves,
         supports=supports,
@@ -381,14 +376,51 @@ def structure(tree):
 # ---------------------------------------------------------------------------
 
 
-def _rooted_code(tree, root):
-    # codes built leaves-first along the BFS order from root
-    order, parent, _ = _bfs(tree.adj, root)
-    code = [b""] * tree.n
-    for u in reversed(order):
-        kids = sorted(code[w] for w in tree.adj[u] if parent[w] == u)
-        code[u] = b"(" + b"".join(kids) + b")"
-    return code[root]
+def _level_code(seq, bicentral):
+    """Canonical code of the tree whose preorder, rooted at its center,
+    has vertex i at depth seq[i] (when bicentral, the other center is
+    vertex 1, and the smaller of the two center-rooted codes is taken).
+
+    A vertex's code is "(" + its children's codes, sorted, + ")"; stack[d]
+    collects the codes of the open depth-d vertex's finished children.
+    """
+    if len(seq) == 1:
+        return b"()"
+    root, first = [], []
+    stack = [root, first]
+    for d in seq[2:] + [1]:  # a last vertex at depth 1 closes the rest
+        while len(stack) > d:
+            kids = stack.pop()
+            kids.sort()
+            stack[-1].append(b"(" + b"".join(kids) + b")")
+        stack.append([])
+    root.sort()
+    code = b"(" + b"".join(root) + b")"
+    if not bicentral:
+        return code
+    root.remove(b"(" + b"".join(first) + b")")
+    first.append(b"(" + b"".join(root) + b")")
+    first.sort()
+    other = b"(" + b"".join(first) + b")"
+    return other if other < code else code
+
+
+def _center_levels(tree):
+    """(seq, bicentral): the level sequence of a preorder of the tree rooted
+    at its center, as _level_code takes it."""
+    c = center(tree)
+    root, first = c[0], c[-1]
+    adj = tree.adj
+    seq = [0]
+    # the stack pops the other center first, so it becomes vertex 1
+    stack = [(w, root, 1) for w in adj[root] if w != first]
+    if first != root:
+        stack.append((first, root, 1))
+    while stack:
+        v, p, d = stack.pop()
+        seq.append(d)
+        stack.extend((w, v, d + 1) for w in adj[v] if w != p)
+    return seq, len(c) == 2
 
 
 def canonical_code(tree):
@@ -397,10 +429,7 @@ def canonical_code(tree):
     The tree is rooted at its center; a bicentral tree takes the
     lexicographically smaller of its two center-rooted encodings.
     """
-    c = center(tree)
-    if len(c) == 1:
-        return _rooted_code(tree, c[0])
-    return min(_rooted_code(tree, c[0]), _rooted_code(tree, c[1]))
+    return _level_code(*_center_levels(tree))
 
 
 def is_isomorphic(t1, t2):

@@ -1,8 +1,11 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
-from treedom import census, characterize
+from treedom import census, trees
 from treedom import (
     BadParameterError,
     TooLargeError,
@@ -14,7 +17,9 @@ from treedom import (
     classify,
     comb,
     diameter,
+    distance_matrix,
     enumerate_trees,
+    optimal_sets,
     path,
     prufer_decode,
     records_to_csv,
@@ -155,17 +160,54 @@ class TestClassify:
         assert sorted(dp_calls) == ["_beta_opt", "_gamma_t_opt", "_tcoi_opt"]
 
     def test_one_structure_per_tree(self, counting):
-        # the stated upper condition reads the report classify already has
-        counting(census, "structure")
-        calls = counting(characterize, "structure")
-        classify(path(6))
-        assert calls == {"structure": 1}
+        # classify reads the vertex classes and the diameter off one
+        # center-rooted preorder: one classification, and one BFS (the
+        # center's), so no diameter BFS and no StructureReport
+        p6 = path(6)
+        counting(census, "_vertex_classes")
+        counting(trees, "structure")
+        calls = counting(trees, "_bfs")
+        classify(p6)
+        assert calls == {"_vertex_classes": 1, "structure": 0, "_bfs": 1}
 
     def test_each_code_computed_once(self, counting):
-        calls = counting(census, "canonical_code")
+        # one encoding per tree, straight from its level sequence; the
+        # Tree-level canonical_code is not called on the sequence path
+        counting(census, "canonical_code")
+        calls = counting(census, "_level_code")
         records, _ = run_census(9)
         assert len(records) == 93
-        assert calls["canonical_code"] == 93
+        assert calls == {"canonical_code": 0, "_level_code": 93}
+
+    def test_sequence_core_matches_classify(self):
+        # classify re-derives a center-rooted preorder from any labeling
+        rng = random.Random(10)
+        for n in range(1, 11):
+            for seq in census._free_level_sequences(n):
+                want = census._classify_levels(seq)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                tree = census._tree_from_levels(seq).relabeled(dict(enumerate(perm)))
+                assert classify(tree) == want
+                assert want.canon == canonical_code(tree)
+
+    def test_trees_built_only_where_needed(self, counting, monkeypatch):
+        # order 13 is above the subset checks' cap, so its only Trees are
+        # the lower-family members' (for decompose_to_p4); every smaller
+        # tree is built once, for the subset checks
+        built = []
+        init = Tree.__post_init__
+
+        def counting_init(self, **kwargs):
+            built.append(self.n)
+            init(self, **kwargs)
+
+        monkeypatch.setattr(Tree, "__post_init__", counting_init)
+        records, _ = run_census(13)
+        members = sum(1 for r in records if r.n == 13 and r.in_t_beta)
+        assert members > 0
+        assert built.count(13) == members
+        assert len(built) == members + report_rows(12)
 
     def test_star6_family_fields_absent(self):
         rec = classify(star(6))
@@ -178,6 +220,20 @@ class TestHarnessChecks:
     def test_distance_remark_small(self, corpus):
         for t in corpus(3, 10):
             assert check_distance_remark(t)
+
+    def test_distance_remark_matches_distance_matrix(self, corpus):
+        # on one or two vertices a maximum independent set has a single
+        # member, so the remark fails there
+        def reference(t):
+            dm = distance_matrix(t)
+            return all(
+                any(u != v and dm[v][u] <= 3 for u in b)
+                for b in optimal_sets(t, "beta") for v in b
+            )
+
+        got = [check_distance_remark(t) for t in corpus(1, 10)]
+        assert got == [reference(t) for t in corpus(1, 10)]
+        assert got[:2] == [False, False] and all(got[2:])
 
     def test_minimality_small(self, corpus):
         for t in corpus(3, 8):
@@ -241,6 +297,15 @@ class TestRunCensus:
         # diameter-2 rows leave the family cells empty
         star5 = next(l for l in lines if l.split(",")[1:4] == ["5", "2", "4"])
         assert star5.endswith(",2,,,,")
+
+    def test_output_pinned(self):
+        # sha256 of the CSV and the indented report JSON of run_census(12),
+        # as the release that read each tree off a built Tree produced them
+        records, report = run_census(12)
+        text = records_to_csv(records) + json.dumps(report, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ebff8922987739ca111b607a2f2f9c3c8631aa69b28f4e96a03b1b2fc251e0e0"
+        )
 
     def test_caps_recorded(self):
         _, report = run_census(5)

@@ -7,6 +7,7 @@ import pytest
 
 import treedom
 from treedom import (
+    InternalError,
     Tree,
     certificate_from_text,
     double_star,
@@ -187,6 +188,20 @@ class TestCensusVerify:
         rc = main(["census", "--max-n", "12", "--out", str(tmp_path / "no" / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_census_failed_run_keeps_existing_out(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the output is written only after the run succeeds
+        def fail(max_n):
+            raise InternalError("planted")
+
+        out = tmp_path / "census.csv"
+        out.write_text("old rows\n")
+        monkeypatch.setattr(treedom.census, "run_census", fail)
+        rc = main(["census", "--max-n", "7", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("internal error:")
+        assert out.read_text() == "old rows\n"
 
     @pytest.mark.parametrize("args", [
         ["verify", "--max-n", "-4"],

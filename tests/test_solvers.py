@@ -160,6 +160,29 @@ class TestPredicates:
         with pytest.raises(NotATcoiSetError):
             is_minimal_tcoi_set(path(4), {0})
 
+    def test_minimal_matches_dominator_count(self, corpus):
+        # the mask test against a count of each vertex's in-set neighbors,
+        # on every subset: same verdict on tcoi sets, same error elsewhere
+        import itertools
+
+        def reference(t, s):
+            if not is_tcoi_set(t, s):
+                return None
+            dominators = [sum(w in s for w in t.adj[v]) for v in range(t.n)]
+            return all(
+                any(dominators[w] == 1 or w not in s for w in t.adj[v]) for v in s
+            )
+
+        for t in corpus(3, 8):
+            for r in range(t.n + 1):
+                for s in itertools.combinations(range(t.n), r):
+                    want = reference(t, set(s))
+                    if want is None:
+                        with pytest.raises(NotATcoiSetError):
+                            is_minimal_tcoi_set(t, s)
+                    else:
+                        assert is_minimal_tcoi_set(t, s) == want
+
 
 class TestInSomeOptimalSet:
     def test_p4(self):

@@ -28,7 +28,7 @@ from treedom import (
     star,
     structure,
 )
-from treedom.trees import GRAPH6_MAX_N
+from treedom.trees import GRAPH6_MAX_N, _bfs
 from conftest import trees_of_order
 
 
@@ -301,6 +301,30 @@ class TestCanonicalCode:
         perm = {i: (i * 3 + 1) % built.n for i in range(built.n)}
         text = serialize_edge_list(built.relabeled(perm))
         assert is_isomorphic(parse_edge_list(text), built)
+
+    def test_encoder_matches_ahu_reference(self):
+        # the stack encoder over a center-rooted preorder against the plain
+        # AHU encoding: a BFS from each center, children's codes sorted
+        def rooted(t, root):
+            order, parent, _ = _bfs(t.adj, root)
+            code = [b""] * t.n
+            for u in reversed(order):
+                kids = sorted(code[w] for w in t.adj[u] if parent[w] == u)
+                code[u] = b"(" + b"".join(kids) + b")"
+            return code[root]
+
+        def reference(t):
+            return min(rooted(t, c) for c in center(t))
+
+        for n in range(1, 13):
+            for t in trees_of_order(n):
+                assert canonical_code(t) == reference(t)
+        rng = random.Random(13)
+        for _ in range(40):
+            t = random_tree(rng.randrange(1, 2001), rng.randrange(10**6))
+            assert canonical_code(t) == reference(t)
+        for t in (path(2000), path(1999), star(2000), q_tree(300)):
+            assert canonical_code(t) == reference(t)
 
     def test_center(self):
         assert center(path(5)) == (2,)
