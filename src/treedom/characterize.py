@@ -12,25 +12,27 @@ on a one-link chain's O2 remainder, which picks reverse O2 or O4.  Every
 peel works on one mutable state (_Peel) in the input's own labels:
 adjacency sets and the leaf, support and semi-support classes, which each
 removal updates within distance 2 of its edge, so no Tree is built per
-peel.  One BFS and one rerooting pass over the directed edges (_far_ends)
-find a peel's deepest semi-support configuration and serve the rest of
-it, so each peel is linear and a certificate quadratic in n.  The forward
-replay it shares with verify_certificate is the only check of each step's
-precondition and of the rebuilt tree: it grows edge lists with one
-membership DP per step, and its edges must be the input's under the
-peels' relabeling, so no Tree is built and the one code is the input's.
-A member on which no move applies, or whose certificate does not replay,
-is a defect in the moves, not a counterexample, and raises InternalError
-(no tree of order <= 18 does).  The upper family has a purely structural
-characterization: structural_upper_bound_check tests the condition as the
-paper states it, which is necessary but not sufficient, and
-upper_family_check tests the corrected condition, which is exact.
+peel.  It also keeps the input's rooting, each subtree's far end and lazy
+heaps of the candidate moves, keyed once by a rerooting pass (_far_ends)
+and refreshed near each removed edge, so a peel runs no BFS and no pass
+over the tree but the one-link O2 check's.  The forward replay it shares
+with verify_certificate is the only check of each step's precondition and
+of the rebuilt tree: it grows edge lists with one membership DP per step,
+and its edges must be the input's under the peels' relabeling, so no Tree
+is built and the one code is the input's.  A member on which no move
+applies, or whose certificate does not replay, is a defect in the moves,
+not a counterexample, and raises InternalError (no tree of order <= 18
+does).  The upper family has a purely structural characterization:
+structural_upper_bound_check tests the condition as the paper states it,
+which is necessary but not sufficient, and upper_family_check tests the
+corrected condition, which is exact.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from .errors import (
     BadParameterError,
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
 from .solvers import _unit_value, invariant_value
-from .trees import Tree, _bfs, _vertex_classes, canonical_code
+from .trees import Tree, _vertex_classes, canonical_code
 
 
 def _require_diameter(tree):
@@ -233,19 +235,56 @@ class _Peel:
     """The tree being peeled, in the input tree's labels: adjacency sets
     (empty for removed vertices), the number of vertices left, and the
     leaf, support and semi-support classes as StructureReport defines them.
+
+    It keeps the input's rooting (order, parent), down[w], the far end of
+    w's subtree (_far_ends), and lazy heaps that remove feeds: triples
+    (_select_triple), ends (supports of degree 2), doubles (two leaves).
     """
 
     def __init__(self, tree):
-        self.adj = [set(a) for a in tree.adj]
+        adj = self.adj = [set(a) for a in tree.adj]
         self.n = tree.n
+        self.order, self.parent = tree.order, tree.parent
         self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree.adj)[:3])
+        self.ends = sorted(x for x in self.supports if len(adj[x]) == 2)
+        self.doubles = sorted(x for x in self.supports if len(adj[x] & self.leaves) > 1)
+        self.down = self.triples = None
+
+    def key_triples(self):
+        """Set down and triples from one rerooting pass over what is left,
+        at the first peel that needs them; remove keeps them from then on."""
+        adj, parent = self.adj, self.parent
+        self.down, up = _far_ends(adj, [x for x in self.order if adj[x]], parent)
+        self.triples = []
+        for h in self.leaves:
+            (s,) = adj[h]
+            for v in adj[s] & self.semi:
+                d, h2 = self.down[v] if parent[v] == s else up[s]
+                self.triples.append((d, h, h2, v))
+        heapify(self.triples)
+
+    def far_end(self, s, v):
+        """The far end of the directed edge (s, v): down[v] for a child v,
+        else the best of v's ancestors and their other children's down."""
+        adj, parent, down = self.adj, self.parent, self.down
+        if parent[v] == s:
+            return down[v]
+        best, k = (0, v), 0
+        while True:
+            p = parent[v]
+            for c in adj[v] - {s, p}:
+                best = min(best, (down[c][0] - k - 1, down[c][1]))
+            if p not in adj[v]:
+                return best
+            s, v, k = v, p, k + 1
+            best = min(best, (-k, v))
 
     def remove(self, piece):
         """Delete the piece, which must hang from the rest by exactly one
         edge (so that both stay trees), else raise NotATreeError; then
-        reclassify the vertices within distance 2 of the rest's end of that
-        edge, the only ones whose classes can change."""
-        adj = self.adj
+        update down, the classes and the heaps near the rest's end of that
+        edge."""
+        adj, parent, down = self.adj, self.parent, self.down
         piece = set(piece)
         for x in piece:
             if not (0 <= x < len(adj) and adj[x]):
@@ -264,6 +303,17 @@ class _Peel:
             semi.discard(x)
         adj[b].discard(a)
         self.n -= len(piece)
+        # a piece below b changes down on b and on ancestors until one holds
+        w = b if down and parent[a] == b else -1
+        while w >= 0:
+            best, p = (0, w), parent[w]
+            for c in adj[w]:
+                if c != p and (down[c][0] - 1, down[c][1]) < best:
+                    best = (down[c][0] - 1, down[c][1])
+            if best == down[w]:
+                break
+            down[w] = best
+            w = p if p in adj[w] else -1
         # b's degree is the only one that changed: its leaf status can
         # change, hence the support status of b and its neighbors, hence
         # the semi-support status of everything within distance 2 of b
@@ -273,51 +323,54 @@ class _Peel:
         for x in near:
             if x not in leaves and any(w in leaves for w in adj[x]):
                 supports.add(x)
+                if len(adj[x]) == 2:
+                    heappush(self.ends, x)
             else:
                 supports.discard(x)
-        for x in near.union(*(adj[y] for y in adj[b])):
-            if x not in leaves and x not in supports and any(
-                w in supports for w in adj[x]
-            ):
-                semi.add(x)
-            else:
-                semi.discard(x)
+        zone = near.union(*(adj[y] for y in adj[b]))
+        now = {x for x in zone - leaves - supports if not supports.isdisjoint(adj[x])}
+        # a triple (h, s, v) starts only when its leaf or its semi-support
+        # does, and a support gets a second leaf only when b becomes one
+        starts = [(h, s, v) for v in now - semi
+                  for s in adj[v] for h in adj[s] & leaves]
+        semi.difference_update(zone)
+        semi.update(now)
+        if len(adj[b]) == 1:
+            (s,) = adj[b]
+            starts += [(b, s, v) for v in adj[s] & semi]
+            if len(adj[s] & leaves) > 1:
+                heappush(self.doubles, s)
+        for h, s, v in starts if down else ():
+            d, h2 = self.far_end(s, v)
+            heappush(self.triples, (d, h, h2, v))
 
 
-def _leaf_neighbors(adj, v, leaves):
-    return sorted(w for w in adj[v] if w in leaves)
-
-
-def _q_chain_move(state, v, s, h, order, parent):
+def _q_chain_move(state, v, s, h):
     """Peel for the caterpillar configuration hanging at semi-support v:
     follow the support chain from s and peel its far end (reverse O2), or,
     for a one-link chain whose O2 remainder leaves the lower family, peel
     the whole 4-vertex piece as a reverse O4."""
     adj, leaves, supports = state.adj, state.leaves, state.supports
     chain = [s]
-    prev = None
-    while True:
-        nxt = sorted(x for x in adj[chain[-1]] if x in supports and x != prev)
-        if not nxt:
-            break
-        prev = chain[-1]
-        chain.append(nxt[0])
+    while nxt := [x for x in adj[chain[-1]] if x in supports and x not in chain[-2:]]:
+        chain.append(min(nxt))
     if len(chain) >= 3:
         sr, srm1 = chain[-1], chain[-2]
-        hr_list = _leaf_neighbors(adj, sr, leaves)
+        hr_list = sorted(adj[sr] & leaves)
         if hr_list and adj[sr] == {srm1, hr_list[0]}:
             return _Reduction("O2", (sr, hr_list[0]), srm1)
         return None
     # one-link chain: s - s1
     s1 = chain[1]
-    h1_list = _leaf_neighbors(adj, s1, leaves)
+    h1_list = sorted(adj[s1] & leaves)
     if not h1_list:
         return None
     h1 = h1_list[0]
     if adj[s1] == {s, h1}:
-        # order roots the tree at a leaf: s1 and h1 hang below s, or it
-        # starts h1, s1, s; either way the rest is a rooted order
-        if _lower_bound_holds([x for x in order if x != s1 and x != h1], parent):
+        # s1 and h1 hang from s by one edge, so the rest of the input's
+        # order is rooted at its first vertex, whose parent no DP reads
+        rest = [x for x in state.order if adj[x] and x != s1 and x != h1]
+        if _lower_bound_holds(rest, state.parent):
             return _Reduction("O2", (s1, h1), s)
         if adj[s] == {h, v, s1}:
             return _Reduction("O4", (h, s, s1, h1), v)
@@ -326,8 +379,9 @@ def _q_chain_move(state, v, s, h, order, parent):
 
 def _far_ends(adj, order, parent):
     """(down, up) for a rooted order of the tree (each vertex after its
-    parent): down[w] is the far end of the directed edge (parent[w], w) and
-    up[w] that of (w, parent[w]), both lists indexed by vertex label.
+    parent; the first one's parent is -1 or a vertex no longer in adj):
+    down[w] is the far end of the directed edge (parent[w], w) and up[w]
+    that of (w, parent[w]), both lists indexed by vertex label.
     The far end of (u, w) is (-d, x), where d is the largest distance from
     w to a vertex on w's side of the edge and x the smallest vertex at that
     distance.
@@ -351,7 +405,7 @@ def _far_ends(adj, order, parent):
     up = [None] * len(parent)  # up[w]: the rest of the tree, seen from parent[w]
     for p in order:
         first, second = (0, p), None
-        if parent[p] >= 0:
+        if parent[p] in adj[p]:
             d, x = up[p]
             first = min(first, (d - 1, x))
         for c in adj[p]:
@@ -369,29 +423,31 @@ def _far_ends(adj, order, parent):
     return down, up
 
 
-def _select_triple(state, parent, down, up):
+def _select_triple(state):
     """Pick (h, h2, v): leaves h, h2 at maximum distance whose connecting
     path passes through a semi-support v two steps from h.  Deterministic
     tie-break by smallest (h, h2, v).
 
     Such a v is a neighbor of h's support s, and every h2 past v lies on
     v's side of the edge s-v, so the farthest one is that edge's far end
-    (a leaf, because v is not one) at distance 2 + d, read off the far
-    ends (down, up) that _far_ends gives for the rooting parent.
+    (a leaf, because v is not one) at distance 2 + d.  Peels remove pendant
+    pieces, so a side only shrinks and a key (d, h, h2, v) in state.triples
+    never exceeds the current one, which it equals while h2 is left.
     """
-    adj, semi = state.adj, state.semi
-    best = None
-    for h in state.leaves:
-        (s,) = adj[h]
-        for v in adj[s]:
-            if v in semi:
-                d, h2 = down[v] if parent[v] == s else up[s]
-                key = (d, h, h2, v)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
+    if state.triples is None:
+        state.key_triples()
+    adj, leaves, semi, heap = state.adj, state.leaves, state.semi, state.triples
+    while heap:
+        _, h, h2, v = heap[0]
+        if h not in leaves or v not in semi:
+            heappop(heap)
+        elif not adj[h2]:
+            (s,) = adj[h]
+            d, h2 = state.far_end(s, v)
+            heapreplace(heap, (d, h, h2, v))
+        else:
+            return h, h2, v
+    return None
 
 
 def _proof_move(state):
@@ -404,18 +460,17 @@ def _proof_move(state):
     peeled as a caterpillar chain, a pendant 2-path, the whole pendant
     4-path (reverse O3), or a 4-vertex branch (reverse O4).  That
     configuration hangs off the longest leaf-to-leaf path through a
-    semi-support two steps from its first leaf (_select_triple).  One BFS
-    from a leaf and one rerooting pass serve the triple, the one-link O2
-    check and the O3 walk, so all of it is linear in n.
+    semi-support two steps from its first leaf (_select_triple).  The end
+    and the triple come off the state's heaps, and the rest uses the
+    input's rooting, so a peel runs no BFS.
     """
     adj, leaves, supports, semi = state.adj, state.leaves, state.supports, state.semi
 
-    if len(supports) < len(leaves):
-        for v in sorted(supports):
-            lv = _leaf_neighbors(adj, v, leaves)
-            if len(lv) >= 2:
-                return _Reduction("O1", (lv[0],), v)
-        return None
+    doubles = state.doubles
+    while doubles and len(adj[doubles[0]] & leaves) < 2:
+        heappop(doubles)
+    if doubles:
+        return _Reduction("O1", (min(adj[doubles[0]] & leaves),), doubles[0])
 
     if not semi:
         # No support has two leaves (the case above), so each has exactly
@@ -425,23 +480,24 @@ def _proof_move(state):
         # n/2 >= 3 vertices, whose ends are exactly the supports of degree 2
         # (one support neighbor and one leaf), and an end's support
         # neighbor is never itself an end.  Peel the smallest end.
-        s = min((x for x in supports if len(adj[x]) == 2), default=None)
-        if s is None:
+        ends = state.ends
+        while ends and not (ends[0] in supports and len(adj[ends[0]]) == 2):
+            heappop(ends)
+        if not ends:
             return None
+        s = ends[0]
         (h,) = adj[s] & leaves
         (x,) = adj[s] - leaves
         return _Reduction("O2", (s, h), x)
 
-    order, parent, _ = _bfs(adj, next(iter(leaves)))
-    down, up = _far_ends(adj, order, parent)
-    triple = _select_triple(state, parent, down, up)
+    triple = _select_triple(state)
     if triple is None:
         return None
     h, h2, v = triple
     (s,) = adj[h]  # the support between h and v
 
     if any(w in supports for w in adj[s]):
-        return _q_chain_move(state, v, s, h, order, parent)
+        return _q_chain_move(state, v, s, h)
 
     # s has no support neighbor: it must be the degree-2 end of the path
     if adj[s] != {h, v}:
@@ -451,17 +507,20 @@ def _proof_move(state):
         return _Reduction("O2", (s, h), v)
     if len(adj[v]) != 2:
         return None
-    # walk two more steps toward h2: to v's other neighbor p, then to the
-    # neighbor q of p across which h2 is the far end
+    # walk two more steps toward h2: to v's other neighbor p, then to q,
+    # the child of p above h2 if h2 lies below p, else p's parent
     (p,) = adj[v] - {s}
-    q = next(c for c in adj[p] - {v} if (down[c] if parent[c] == p else up[p])[1] == h2)
+    parent, x = state.parent, h2
+    while parent[x] != p and parent[x] in adj[x]:
+        x = parent[x]
+    q = x if parent[x] == p else parent[p]
     if adj[p] == {v, q}:
         return _Reduction("O3", (p, v, s, h), q)
     for w in sorted(adj[p] - {v, q}):
         if w in supports:
-            wl = _leaf_neighbors(adj, w, leaves)
+            wl = sorted(adj[w] & leaves)
             if wl:
-                return _q_chain_move(state, p, w, wl[0], order, parent)
+                return _q_chain_move(state, p, w, wl[0])
     return None
 
 

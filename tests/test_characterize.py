@@ -104,6 +104,17 @@ def reference_select_triple(tree, rep):
     return best[1], best[2], best[3]
 
 
+def state_triple(state):
+    """reference_select_triple on what a _Peel state has left, renumbered in
+    label order so that ties break the same way, or None."""
+    alive = [v for v, a in enumerate(state.adj) if a]
+    label = {v: i for i, v in enumerate(alive)}
+    t = Tree(len(alive), [(label[u], label[w]) for u in alive
+                          for w in state.adj[u] if u < w])
+    expected = reference_select_triple(t, structure(t))
+    return expected and tuple(alive[i] for i in expected)
+
+
 class TestFamilyMembership:
     def test_p4_in_both(self):
         assert attains_lower_bound(path(4))
@@ -370,13 +381,52 @@ class TestDecompose:
             rep = structure(t)
             if rep.semi_supports:
                 expected = reference_select_triple(t, rep)
-                state = characterize._Peel(t)
-                order, parent, _ = trees._bfs(state.adj, next(iter(state.leaves)))
-                down, up = characterize._far_ends(state.adj, order, parent)
-                got = characterize._select_triple(state, parent, down, up)
+                got = characterize._select_triple(characterize._Peel(t))
                 assert got == expected, t
                 checked += 1
         assert checked == 795
+
+    def test_heap_triple_matches_definition(self, wide_trees, monkeypatch):
+        # at every peel that selects a triple, the lazy heap's choice must
+        # be the definition's on the tree left at that point, rebuilt with
+        # its vertices renumbered in order so that ties break the same way
+        real = characterize._select_triple
+        checked = []
+
+        def checking(state):
+            got = real(state)
+            assert got == state_triple(state), state.adj
+            checked.append(state.n)
+            return got
+
+        monkeypatch.setattr(characterize, "_select_triple", checking)
+        for t in wide_trees(4, 12):
+            decompose_to_p4(t)
+        small = len(checked)
+        for n in (40, 80, 160, 320):
+            for seed in (0, 1):
+                decompose_to_p4(grown_member(n, seed))
+        assert (small, len(checked)) == (163, 487)
+
+    def test_heap_triple_after_any_pendant_removal(self):
+        # the proof moves never strip a support of its last leaf, which
+        # makes a semi-support of it, but remove takes any piece hanging by
+        # one edge: cut seeded random edges of random trees and remove
+        # either side, the one holding the input's root included
+        rng = random.Random(14)
+        checked = 0
+        for i in range(200):
+            state = characterize._Peel(random_tree(rng.randrange(6, 30), i))
+            while state.n > 3:
+                u = rng.choice([v for v, a in enumerate(state.adj) if a])
+                w = rng.choice(sorted(state.adj[u]))
+                from_u, from_w = trees._bfs(state.adj, u)[2], trees._bfs(state.adj, w)[2]
+                piece = [x for x, d in enumerate(from_u) if 0 <= d < from_w[x]]
+                if state.n - len(piece) >= 3:
+                    state.remove(piece)
+                    assert characterize._select_triple(state) == state_triple(state)
+                    checked += 1
+        assert checked > 1000
 
     def test_one_tree_built_per_member(self, wide_trees, monkeypatch):
         # the peel works on one mutable state and the replay on growing
@@ -486,24 +536,46 @@ class TestDecompose:
         assert len(seen) == 790
 
     def test_bfs_runs_per_step(self, monkeypatch):
-        # a peel takes at most one BFS, and only when it needs the longest
-        # path (84 runs for 116 steps here, counting the input's canonical
-        # code); a distance matrix per move would add n of them and make the
-        # certificate cubic
+        # the peel keeps the input's rooting: one rerooting pass gives the
+        # first triples, and each removal refreshes far ends near its edge,
+        # so the only BFS is the one for the input's canonical code; a BFS
+        # or a distance matrix per move would make the certificate
+        # quadratic or cubic
         t = grown_member(301, seed=0)
-        calls = []
-        real = trees._bfs
+        bfs, passes = [], []
+        real_bfs, real_far_ends = trees._bfs, characterize._far_ends
 
-        def counting(adj, root):
-            calls.append(root)
-            return real(adj, root)
+        def counting_bfs(adj, root):
+            bfs.append(root)
+            return real_bfs(adj, root)
 
-        monkeypatch.setattr(trees, "_bfs", counting)
-        monkeypatch.setattr(characterize, "_bfs", counting)
+        def counting_far_ends(*args):
+            passes.append(args)
+            return real_far_ends(*args)
+
+        monkeypatch.setattr(trees, "_bfs", counting_bfs)
+        monkeypatch.setattr(characterize, "_far_ends", counting_far_ends)
         cert = decompose_to_p4(t)
         assert len(cert.steps) > 100
-        assert len(calls) <= len(cert.steps)
+        assert len(bfs) <= 1 and len(passes) <= 1
+        assert not hasattr(characterize, "_bfs")
         assert not hasattr(characterize, "distance_matrix")
+
+    def test_far_ends_computed_per_peel(self, monkeypatch):
+        # a far end is computed for a triple when it starts or when its far
+        # leaf is peeled, on average less than twice per peel
+        t = grown_member(301, seed=0)
+        calls = []
+        real = characterize._Peel.far_end
+
+        def counting(state, s, v):
+            calls.append((s, v))
+            return real(state, s, v)
+
+        monkeypatch.setattr(characterize._Peel, "far_end", counting)
+        cert = decompose_to_p4(t)
+        assert len(cert.steps) > 100
+        assert len(calls) <= 2 * len(cert.steps)
 
     def test_one_diameter_per_certificate(self, monkeypatch):
         # the membership precondition reads diameter >= 3 off the vertex

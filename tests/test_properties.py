@@ -1,9 +1,10 @@
 """Hypothesis property tests: the DPs against the brute-force oracle,
-invariance under relabeling and the certificate peel's rerooting pass
-against BFS, on trees drawn as Prufer sequences; certificates of
-lower-family members grown from P_4 by drawn valid O1-O4 steps, the
-invariant shifts of each step, and the certificate replay against
-step-by-step apply_operation on drawn step sequences.
+invariance under relabeling, and the certificate peel's rerooting pass
+and its far ends after drawn removals against BFS, on trees drawn as
+Prufer sequences; certificates of lower-family members grown from P_4 by
+drawn valid O1-O4 steps, the invariant shifts of each step, and the
+certificate replay against step-by-step apply_operation on drawn step
+sequences.
 
 Runs are derandomized, so the drawn trees are the same on every run.
 """
@@ -29,8 +30,9 @@ from treedom import (
     total_domination_number,
     verify_certificate,
 )
-from treedom.characterize import _far_ends, _replay
+from treedom.characterize import _far_ends, _Peel, _replay
 from treedom.generators import OP_KINDS, OP_SIZES
+from treedom.trees import _bfs
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 
@@ -80,6 +82,42 @@ def test_far_ends_match_bfs(tree):
             d = max(from_b[x] for x in side)
             got = down[b] if tree.parent[b] == a else up[a]
             assert got == (-d, min(x for x in side if from_b[x] == d))
+
+
+def side_far_end(adj, a, b):
+    """The far end of the directed edge (a, b) on adjacency sets, by BFS."""
+    from_a, from_b = _bfs(adj, a)[2], _bfs(adj, b)[2]
+    side = [x for x in range(len(adj)) if 0 <= from_b[x] < from_a[x]]
+    d = max(from_b[x] for x in side)
+    return (-d, min(x for x in side if from_b[x] == d))
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_peel_far_ends_match_bfs(data):
+    # cut drawn edges and remove either side, the one holding the input's
+    # root included, with the far ends set up before the first cut or
+    # after it: every far end the peel reads off its maintained subtree
+    # ends must still be the BFS one on what is left
+    tree = data.draw(trees(lo=5, hi=30))
+    state = _Peel(tree)
+    if data.draw(st.booleans()):
+        state.key_triples()
+    for _ in range(data.draw(st.integers(1, 6))):
+        edges = sorted((u, w) for u, a in enumerate(state.adj) for w in a)
+        u, w = data.draw(st.sampled_from(edges))
+        from_u, from_w = _bfs(state.adj, u)[2], _bfs(state.adj, w)[2]
+        piece = [x for x, d in enumerate(from_u) if 0 <= d < from_w[x]]
+        if state.n - len(piece) < 2:
+            piece = [x for x, d in enumerate(from_w) if 0 <= d < from_u[x]]
+        state.remove(piece)
+        if state.down is None:
+            state.key_triples()
+        for a, nbrs in enumerate(state.adj):
+            for b in nbrs:
+                assert state.far_end(a, b) == side_far_end(state.adj, a, b)
+        if state.n <= 2:
+            break
 
 
 def draw_valid_step(data, tree, kinds=OP_KINDS):
