@@ -20,7 +20,7 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .characterize import _stated_upper_condition, decompose_to_p4
+from .characterize import _certificate_steps, _stated_upper_condition
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
     SUBSET_CAP,
@@ -179,9 +179,11 @@ def _classify_levels(seq, tree=None):
         in_beta = tcoi == n - beta
         in_l = tcoi == n - leaves
         structural = _stated_upper_condition(adj, classes)
-        if in_beta and tree is None:
-            tree = _tree_from_levels(seq)
-        certified = in_beta and decompose_to_p4(tree) is not None
+        # the record holds the diameter, lower bound and code, so a member
+        # runs only the peel and replay, which raise InternalError on a defect
+        if in_beta:
+            _certificate_steps(tree if tree is not None else _tree_from_levels(seq))
+        certified = in_beta
     return CensusRecord(
         canon=_level_code(seq, rest < h),
         n=n,

@@ -3,29 +3,22 @@
 A tree of diameter >= 3 attains the lower bound when its total
 co-independent domination number equals n minus the independence number,
 and the upper bound when it equals n minus the number of leaves.  The lower
-family has an operational characterization: exactly the trees reachable
-from P_4 by attachment operations O1-O4 applied at vertices lying in
-suitable optimal sets.  decompose_to_p4 finds such an operation sequence
-with the proof's case analysis alone, peeling one configuration at a time
-down to P_4 by structure: the one invariant it computes is the lower bound
-on a one-link chain's O2 remainder, which picks reverse O2 or O4.  Every
-peel works on one mutable state (_Peel) in the input's own labels:
-adjacency sets and the leaf, support and semi-support classes, which each
-removal updates within distance 2 of its edge, so no Tree is built per
-peel.  It also keeps the input's rooting, each subtree's far end and lazy
-heaps of the candidate moves, keyed once by a rerooting pass (_far_ends)
-and refreshed near each removed edge, so a peel runs no BFS and no pass
-over the tree but the one-link O2 check's.  The forward replay it shares
-with verify_certificate is the only check of each step's precondition and
-of the rebuilt tree: it grows edge lists with one membership DP per step,
-and its edges must be the input's under the peels' relabeling, so no Tree
-is built and the one code is the input's.  A member on which no move
-applies, or whose certificate does not replay, is a defect in the moves,
-not a counterexample, and raises InternalError (no tree of order <= 18
-does).  The upper family has a purely structural characterization:
-structural_upper_bound_check tests the condition as the paper states it,
-which is necessary but not sufficient, and upper_family_check tests the
-corrected condition, which is exact.
+family is exactly the trees reachable from P_4 by the operations O1-O4 at
+vertices in suitable optimal sets.  decompose_to_p4 finds such a sequence
+by the proof's case analysis, peeling one configuration at a time down to
+P_4 on one mutable state (_Peel) in the input's labels: adjacency sets,
+vertex classes updated near each removed edge, the input's rooting with
+each subtree's far end, and lazy heaps of the candidate moves, so a peel
+runs no BFS, and no pass over the tree but the one-link O2 check's lower
+bound.  The forward replay it shares with verify_certificate is the only
+check of the steps: it grows edge lists, answers each precondition by a
+walk up from the attachment vertex (solvers._Membership), and its edges
+must be the input's under the peels' relabeling, so no Tree is built.  A
+member on which no move applies, or whose certificate does not replay, is
+a defect in the moves and raises InternalError (no tree of order <= 18
+does).  structural_upper_bound_check tests the upper family's condition
+as the paper states it, which is necessary but not sufficient, and
+upper_family_check the corrected, exact one.
 """
 
 from __future__ import annotations
@@ -44,7 +37,7 @@ from .errors import (
     UndefinedInvariantError,
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
-from .solvers import _unit_value, invariant_value
+from .solvers import _Membership, _unit_value, invariant_value
 from .trees import Tree, _vertex_classes, canonical_code
 
 
@@ -187,12 +180,15 @@ def _replay(steps):
     edge (u, v) with u < v; a step that cannot be applied raises
     InvalidStepError with its index.
 
-    The tree grows as edge, order and parent lists (P_4 is 0-1-2-3 rooted
-    at 0), each step checked by one membership DP along them."""
-    order, parent, edges = [0, 1, 2, 3], [-1, 0, 1, 2], [(0, 1), (1, 2), (2, 3)]
+    The tree grows as edge and parent lists (P_4 is 0-1-2-3 rooted at 0),
+    each step hanging below its attachment vertex, and one _Membership on
+    them answers every precondition by a walk up from that vertex, with no
+    DP pass over the whole tree."""
+    parent, edges = [-1, 0, 1, 2], [(0, 1), (1, 2), (2, 3)]
+    sets = _Membership(parent, [0, 1, 2, 3])
     for i, step in enumerate(steps):
         try:
-            _attach(order, parent, edges, step)
+            sets.add(_attach(parent, edges, step, sets.member))
         except TreedomError as exc:
             raise InvalidStepError(i, str(exc)) from exc
     return edges
@@ -303,6 +299,9 @@ class _Peel:
             semi.discard(x)
         adj[b].discard(a)
         self.n -= len(piece)
+        # keep order at most twice what is left, so a pass over it is O(n)
+        if 2 * self.n <= len(self.order):
+            self.order = [x for x in self.order if adj[x]]
         # a piece below b changes down on b and on ancestors until one holds
         w = b if down and parent[a] == b else -1
         while w >= 0:
@@ -444,6 +443,8 @@ def _select_triple(state):
         elif not adj[h2]:
             (s,) = adj[h]
             d, h2 = state.far_end(s, v)
+            if not adj[h2]:
+                raise InternalError(f"far end {h2} of ({s}, {v}) is a removed vertex")
             heapreplace(heap, (d, h, h2, v))
         else:
             return h, h2, v
@@ -524,49 +525,29 @@ def _proof_move(state):
     return None
 
 
-def _forward_certificate(tree, base, reductions):
-    """Turn the peels (outermost first) into forward steps from the P_4
-    base they ended at, and check by replay that the steps rebuild the
-    tree itself under the relabeling phi they define, not only a tree
-    isomorphic to it; the certificate's code is then the tree's own."""
-    ends = sorted(base.leaves)
-    if base.n != 4 or len(ends) != 2:
-        raise InternalError(
-            f"peeling ended at a tree of order {base.n} other than P_4"
-        )
-    order = [ends[0]]
-    while len(order) < 4:
-        order.append(next(w for w in base.adj[order[-1]] if w not in order))
-    phi = {b: i for i, b in enumerate(order)}
-    n = 4
-    steps = []
-    for red in reversed(reductions):
-        labels = tuple(range(n, n + len(red.removed)))
-        phi.update(zip(red.removed, labels))
-        steps.append(OperationStep(red.kind, phi[red.attach], labels))
-        n += len(labels)
-    mapped = sorted(tuple(sorted((phi[u], phi[v]))) for u, v in tree.edges)
-    if sorted(_replay(steps)) != mapped:
-        raise CertificateMismatchError("replay is not the target under the relabeling")
-    return Certificate(tuple(steps), canonical_code(tree))
-
-
 def decompose_to_p4(tree):
-    """Find an operation certificate rebuilding the tree from P_4.
-
-    Returns None when the tree does not attain the lower bound.  Otherwise
-    the proof's case analysis (_proof_move) peels one operation at a time
-    down to P_4 on one mutable _Peel state, choosing each by structure
-    alone.  The replay checks every step's precondition, and that the steps
-    rebuild the tree itself under the peels' relabeling, before the
-    certificate is returned with the tree's own canonical code.  There is
-    no fallback search: a member on which no proof move applies, a peel
-    that splits the tree, or a certificate that does not replay is a defect
-    in the moves and raises InternalError.
-    """
+    """Find an operation certificate rebuilding the tree from P_4
+    (_certificate_steps), or None if the tree misses the lower bound."""
     _require_diameter(tree)
     if not _lower_bound_holds(tree.order, tree.parent):
         return None
+    return Certificate(_certificate_steps(tree), canonical_code(tree))
+
+
+def _certificate_steps(tree):
+    """The forward steps of a certificate for a tree of diameter >= 3 that
+    attains the lower bound.
+
+    The proof's case analysis (_proof_move) peels one operation at a time
+    down to P_4 on one mutable _Peel state, choosing each by structure
+    alone, and the steps are the peels reversed from there.  The replay
+    checks every step's precondition, and that the steps rebuild the tree
+    itself under the relabeling phi they define, not only a tree isomorphic
+    to it.  There is no fallback search: a member on which no proof move
+    applies, a peel that splits the tree or ends other than at P_4, or
+    steps that do not replay are a defect in the moves and raise
+    InternalError.
+    """
     state = _Peel(tree)
     reductions = []
     try:
@@ -578,7 +559,26 @@ def decompose_to_p4(tree):
                 )
             state.remove(red.removed)
             reductions.append(red)
-        return _forward_certificate(tree, state, reductions)
+        ends = sorted(state.leaves)
+        if state.n != 4 or len(ends) != 2:
+            raise InternalError(
+                f"peeling ended at a tree of order {state.n} other than P_4"
+            )
+        order = [ends[0]]
+        while len(order) < 4:
+            order.append(next(w for w in state.adj[order[-1]] if w not in order))
+        phi = {b: i for i, b in enumerate(order)}
+        n = 4
+        steps = []
+        for red in reversed(reductions):
+            labels = tuple(range(n, n + len(red.removed)))
+            phi.update(zip(red.removed, labels))
+            steps.append(OperationStep(red.kind, phi[red.attach], labels))
+            n += len(labels)
+        mapped = sorted(tuple(sorted((phi[u], phi[v]))) for u, v in tree.edges)
+        if sorted(_replay(steps)) != mapped:
+            raise CertificateMismatchError("replay is not the target under the relabeling")
+        return tuple(steps)
     except InternalError:
         raise
     except TreedomError as exc:

@@ -15,7 +15,7 @@ from .errors import (
     PreconditionViolatedError,
     VertexOutOfRangeError,
 )
-from .solvers import _in_some_optimal_set
+from .solvers import in_some_optimal_set
 from .trees import Tree
 
 
@@ -143,6 +143,10 @@ OP_SIZES = {"O1": 1, "O2": 2, "O3": 4, "O4": 4}
 # invariant whose optimal sets must contain the attachment vertex
 OP_PRECONDITION = {"O1": "tcoi", "O2": "tcoi", "O3": "tcoi", "O4": "beta"}
 
+# the parent of each new vertex n, n+1, ... (role order) as an offset from
+# n, or -1 for the attachment vertex: O4's path h1-u1-u2-h2 hangs by u1
+_PIECES = {"O1": (-1,), "O2": (-1, 0), "O3": (-1, 0, 1, 2), "O4": (1, -1, 1, 2)}
+
 
 @dataclass(frozen=True)
 class OperationStep:
@@ -175,18 +179,18 @@ def apply_operation(tree, step):
     n+1, ... in role order.
     """
     edges = list(tree.edges)
-    _attach(list(tree.order), list(tree.parent), edges, step)
+    _attach(list(tree.parent), edges, step, lambda v, which: in_some_optimal_set(tree, v, which))
     return Tree._trusted(len(edges) + 1, edges)
 
 
-def _attach(order, parent, edges, step):
+def _attach(parent, edges, step, member):
     """Apply one step in place to the tree on 0..n-1 given by its edge list
-    and a rooted (order, parent) pair (see solvers), with n = len(parent).
+    and its parent list (see solvers), with n = len(parent), and return the
+    new vertices, each after its parent.
 
     Checks the attachment vertex's range, the new labels and the
-    precondition (one membership DP along order), then appends the new
-    vertices' edges, their parents and the vertices themselves, each after
-    its parent, so that the lists stay a rooted order of the larger tree.
+    precondition, member(v, which) (in_some_optimal_set on the tree before
+    the step), then appends the new vertices' edges and parents.
     """
     n = len(parent)
     v = step.attach_vertex
@@ -200,28 +204,16 @@ def _attach(order, parent, edges, step):
             f"must be labeled {expected}, got {step.new_vertex_labels}"
         )
     which = OP_PRECONDITION[step.op_kind]
-    if not _in_some_optimal_set(order, parent, v, which):
+    if not member(v, which):
         raise PreconditionViolatedError(
             f"{step.op_kind} at vertex {v}: vertex lies in no optimal "
             f"{'independent' if which == 'beta' else 'total co-independent dominating'} set"
         )
-    if step.op_kind == "O1":
-        (u,) = expected
-        new_edges, parents, added = [(v, u)], [v], [u]
-    elif step.op_kind == "O2":
-        u1, u2 = expected
-        new_edges, parents, added = [(v, u1), (u1, u2)], [v, u1], [u1, u2]
-    elif step.op_kind == "O3":
-        h1, u1, u2, h2 = expected
-        new_edges = [(v, h1), (h1, u1), (u1, u2), (u2, h2)]
-        parents, added = [v, h1, u1, u2], [h1, u1, u2, h2]
-    else:  # O4
-        h1, u1, u2, h2 = expected
-        new_edges = [(v, u1), (h1, u1), (u1, u2), (u2, h2)]
-        parents, added = [u1, v, u1, u2], [u1, h1, u2, h2]
-    edges.extend(new_edges)
+    parents = [v if i < 0 else n + i for i in _PIECES[step.op_kind]]
+    edges.extend((p, x) if p < x else (x, p) for x, p in enumerate(parents, n))
     parent.extend(parents)
-    order.extend(added)
+    # the new vertex below v first, then the rest, each below an earlier one
+    return sorted(expected, key=lambda x: parents[x - n] != v)
 
 
 # ---------------------------------------------------------------------------

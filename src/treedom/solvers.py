@@ -4,11 +4,11 @@ domination on trees.
 Each invariant has two independent routes:
 
 * a linear dynamic program along a rooted vertex order (the BFS order
-  from vertex 0 that Tree keeps, or a certificate replay's growing one),
-  optimizing the total of per-vertex weights (unit weights give the
-  value; weights that encode vertex positions give the witness, and
-  weights that single out one vertex answer membership-in-some-optimal-set,
-  each in one pass), and
+  from vertex 0 that Tree keeps, or any other), optimizing the total of
+  per-vertex weights (unit weights give the value; weights that encode
+  vertex positions give the witness, and weights that single out one
+  vertex answer membership-in-some-optimal-set, each in one pass, or by
+  a walk up from the vertex on a growing tree, _Membership), and
 * a brute-force oracle that enumerates every subset as a bit mask and
   evaluates the defining predicate directly (vectorized with numpy, which
   only the oracle imports, on its first call).
@@ -104,7 +104,7 @@ def is_minimal_tcoi_set(tree, members):
 # Each DP folds along an (order, parent) pair: order lists the tree's
 # vertices with every vertex after its parent and order[0] the root, and
 # parent[v] is v's parent (a Tree's BFS order and parent, or any such pair,
-# such as a growing certificate replay's).  Both weight and parent are
+# such as what a certificate peel has left).  Both weight and parent are
 # indexed by vertex label, and labels outside order are never read, except
 # that their weights count towards inf.  Each DP starts every vertex at its
 # childless state and walks order in reverse, folding each vertex's
@@ -288,19 +288,105 @@ def in_some_optimal_set(tree, v, which):
     if which not in ("beta", "tcoi"):
         raise ValueError(f"unsupported invariant {which!r}")
     tree._check_vertex(v)
-    return _in_some_optimal_set(tree.order, tree.parent, v, which)
-
-
-def _in_some_optimal_set(order, parent, v, which):
-    """in_some_optimal_set for vertex v of the tree that (order, parent)
-    spans, in one DP pass."""
-    _check_defined(len(order), which)
+    _check_defined(tree.n, which)
     # A set S weighs 2|S|, plus 1 (beta) or minus 1 (tcoi) if it holds v.
     # Only sets of optimal size reach the weighted optimum, so the optimum
-    # is odd iff some optimal set holds v.
-    weight = [2] * len(parent)
+    # is odd iff some optimal set holds v.  One DP pass.
+    weight = [2] * tree.n
     weight[v] = 3 if which == "beta" else 1
-    return _DP[which](order, parent, weight) % 2 == 1
+    return _DP[which](tree.order, tree.parent, weight) % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# Incremental membership on a growing tree
+#
+# A vertex's DP state shifts by c when one child's does, so each vertex
+# keeps the state folded from its children's normalized states, itself
+# normalized by its offset (max(in, out) for beta; min(a, o) for tcoi, the
+# optimum at the root), and the optimum is the sum of the offsets.  A
+# weight change at v changes the normalized states of v and its ancestors
+# up to the first one that holds, and no other.  Each fold is one vertex
+# of _beta_opt or _tcoi_opt, with inf for an impossible state.
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+def _beta_fold(w, kids, state):
+    """(in - out, max(in, out)) of a vertex of weight w with children kids:
+    each child adds its normalized out, -max(in - out, 0), to in."""
+    d = w
+    for c in kids:
+        c = state[c][0]
+        if c > 0:
+            d -= c
+    return d, d if d > 0 else 0
+
+
+def _tcoi_fold(w, kids, state):
+    """((a, b, o) - m, m) of a vertex of weight w with children kids."""
+    a, b, o = _INF, w, 0
+    for c in kids:
+        ca, cb, co = state[c][0]
+        in_c = ca if ca < cb else cb
+        x = a + (in_c if in_c < co else co)
+        y = b + in_c
+        a, b, o = x if x < y else y, b + co, o + ca
+    m = a if a < o else o
+    return (a - m, b - m, o - m), m
+
+
+_FOLD = {"beta": _beta_fold, "tcoi": _tcoi_fold}
+
+
+class _Membership:
+    """in_some_optimal_set on a growing tree of order >= 3, by walks up
+    from the vertex asked about, with every other vertex weighing 2.
+
+    parent is the caller's parent list, which the caller grows: add takes
+    vertices already in it, each after its parent.  state[which][v] is v's
+    (normalized state, offset) pair.
+    """
+
+    def __init__(self, parent, vertices):
+        self.parent, self.kids = parent, []
+        self.state = {which: [] for which in _FOLD}
+        self.add(vertices)
+
+    def add(self, vertices):
+        parent, kids = self.parent, self.kids
+        kids += [[] for _ in vertices]
+        for x in vertices:
+            if parent[x] >= 0:
+                kids[parent[x]].append(x)
+        for which, fold in _FOLD.items():
+            state = self.state[which]
+            state += [None] * len(vertices)
+            for x in reversed(vertices):
+                state[x] = fold(2, kids[x], state)
+            self._walk(fold, state, parent[vertices[0]], 2)
+
+    def _walk(self, fold, state, v, w):
+        """Re-fold v with weight w, then its ancestors until one's normalized
+        state holds; return the optimum's change and the old pairs."""
+        kids, parent = self.kids, self.parent
+        change, undo = 0, []
+        while v >= 0:
+            new, old = fold(w, kids[v], state), state[v]
+            state[v] = new
+            undo.append((v, old))
+            change += new[1] - old[1]
+            if new[0] == old[0]:
+                break
+            v, w = parent[v], 2
+        return change, undo
+
+    def member(self, v, which):
+        state = self.state[which]
+        change, undo = self._walk(_FOLD[which], state, v, 3 if which == "beta" else 1)
+        for x, old in undo:
+            state[x] = old
+        return change % 2 == 1
 
 
 # ---------------------------------------------------------------------------

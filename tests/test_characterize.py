@@ -342,12 +342,50 @@ class TestDecompose:
         assert main(["certify", str(f)]) == 3
         assert capsys.readouterr().err.startswith("internal error:")
 
-    def test_one_dp_per_replayed_step(self, dp_calls):
-        # the membership test takes 2 DP calls; the peel of a double star
-        # computes none, and the replay checks each O1 step with one
+    def test_replay_runs_no_full_fold(self, dp_calls):
+        # the lower bound takes 2 DP calls; the peel of a double star
+        # computes none, and the replay answers each step's precondition by
+        # a walk up from its attachment vertex, with no fold of the tree
         cert = decompose_to_p4(double_star(3, 3))
         assert len(cert.steps) == 4
-        assert len(dp_calls) == 2 + len(cert.steps)
+        assert sorted(dp_calls) == ["_beta_opt", "_tcoi_opt"]
+
+    def test_q_tree_certificate_replays_without_full_folds(self, dp_calls):
+        # a q-tree's peel has no one-link O2 check, so its certificate
+        # costs the input's lower bound alone, and verifying it none
+        t = q_tree(600)
+        cert = decompose_to_p4(t)
+        assert len(cert.steps) == 600 and len(dp_calls) == 2
+        dp_calls.clear()
+        assert verify_certificate(cert, t)
+        assert dp_calls == []
+
+    def test_stale_far_end_raises(self, monkeypatch):
+        # a peel whose far ends go stale (here: remove skips refreshing
+        # down) must raise InternalError, not re-key a candidate whose far
+        # end was removed forever; the far end count turns a hang into a
+        # failure
+        class Frozen(list):
+            def __setitem__(self, i, x):
+                pass
+
+        real_remove, real_far_end = characterize._Peel.remove, characterize._Peel.far_end
+        calls = []
+
+        def skipping(state, piece):
+            if state.down is not None and not isinstance(state.down, Frozen):
+                state.down = Frozen(state.down)
+            real_remove(state, piece)
+
+        def counting(state, s, v):
+            calls.append((s, v))
+            assert len(calls) < 1000, "far ends re-keyed without end"
+            return real_far_end(state, s, v)
+
+        monkeypatch.setattr(characterize._Peel, "remove", skipping)
+        monkeypatch.setattr(characterize._Peel, "far_end", counting)
+        with pytest.raises(InternalError, match="removed vertex"):
+            decompose_to_p4(grown_member(40, 0))
 
     def test_two_canonical_codes_per_member(self, monkeypatch):
         # the replay is checked against the input's edges under the peel's

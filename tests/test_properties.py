@@ -2,9 +2,9 @@
 invariance under relabeling, and the certificate peel's rerooting pass
 and its far ends after drawn removals against BFS, on trees drawn as
 Prufer sequences; certificates of lower-family members grown from P_4 by
-drawn valid O1-O4 steps, the invariant shifts of each step, and the
+drawn valid O1-O4 steps, the invariant shifts of each step, the
 certificate replay against step-by-step apply_operation on drawn step
-sequences.
+sequences, and the replay's incremental membership against the full fold.
 
 Runs are derandomized, so the drawn trees are the same on every run.
 """
@@ -31,7 +31,8 @@ from treedom import (
     verify_certificate,
 )
 from treedom.characterize import _far_ends, _Peel, _replay
-from treedom.generators import OP_KINDS, OP_SIZES
+from treedom.generators import OP_KINDS, OP_SIZES, _attach
+from treedom.solvers import _Membership
 from treedom.trees import _bfs
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
@@ -205,3 +206,19 @@ def test_replay_matches_apply_fold(data):
     except InvalidStepError as exc:
         got = "failed", exc.step_index, type(exc.__cause__)
     assert got == expected
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.data())
+def test_membership_walks_match_full_fold(data):
+    # grow P_4 by drawn valid steps and keep a _Membership up to date, as
+    # the replay does: after each step its answer for every vertex and both
+    # invariants must be the full fold's
+    tree, parent = path(4), [-1, 0, 1, 2]
+    sets = _Membership(parent, [0, 1, 2, 3])
+    for _ in range(data.draw(st.integers(1, 12))):
+        step, tree = draw_valid_step(data, tree)
+        sets.add(_attach(parent, [], step, lambda v, which: True))
+        for which in ("beta", "tcoi"):
+            got = [sets.member(v, which) for v in range(tree.n)]
+            assert got == [in_some_optimal_set(tree, v, which) for v in range(tree.n)]

@@ -426,10 +426,22 @@ def kernel_weights(n, rng, members):
         yield [(1 << n) + sign * (1 << (n - 1 - v)) for v in range(n)]
 
 
+def folded_optimum(tree, which, weight):
+    """The optimum as the sum of the offsets that the incremental
+    membership's per-vertex fold gives each vertex, bottom-up."""
+    fold = solvers._FOLD[which]
+    state = [None] * tree.n
+    for v in reversed(tree.order):
+        kids = [c for c in tree.adj[v] if c != tree.parent[v]]
+        state[v] = fold(weight[v], kids, state)
+    return sum(offset for _, offset in state)
+
+
 class TestKernelsMatchReference:
     def check(self, tree, rng, members):
         # the kernels fold along the tree's own order and along a BFS order
-        # rooted at its last vertex; the optimum does not depend on the root
+        # rooted at its last vertex; the optimum does not depend on the root.
+        # The incremental membership's per-vertex folds must agree with them
         other = _bfs(tree.adj, tree.n - 1)
         for weight in kernel_weights(tree.n, rng, members):
             for which, ref in REFERENCE_DP.items():
@@ -437,6 +449,9 @@ class TestKernelsMatchReference:
                 for order, parent in ((tree.order, tree.parent), other[:2]):
                     assert solvers._DP[which](order, parent, weight) == expected, (
                         tree, which, weight, order[0])
+                if which == "beta" or (which == "tcoi" and tree.n >= 3):
+                    assert folded_optimum(tree, which, weight) == expected, (
+                        tree, which, weight)
 
     def test_small_trees(self, corpus):
         rng = random.Random(0)
