@@ -9,16 +9,16 @@ by the proof's case analysis, peeling one configuration at a time down to
 P_4 on one mutable state (_Peel) in the input's labels: adjacency sets,
 vertex classes updated near each removed edge, the input's rooting with
 each subtree's far end, and lazy heaps of the candidate moves, so a peel
-runs no BFS, and no pass over the tree but the one-link O2 check's lower
-bound.  The forward replay it shares with verify_certificate is the only
-check of the steps: it grows edge lists, answers each precondition by a
-walk up from the attachment vertex (solvers._Membership), and its edges
-must be the input's under the peels' relabeling, so no Tree is built.  A
-member on which no move applies, or whose certificate does not replay, is
-a defect in the moves and raises InternalError (no tree of order <= 18
-does).  structural_upper_bound_check tests the upper family's condition
-as the paper states it, which is necessary but not sufficient, and
-upper_family_check the corrected, exact one.
+runs no BFS and no pass over the tree.  The one-link O2 check and the
+forward replay shared with verify_certificate, the only check of the
+steps, ask DP questions by walks up from a vertex (solvers._Membership)
+on the tree the peel cuts or the replay grows as lists; the replay's
+edges must be the input's under the peels' relabeling, so no Tree is
+built.  A member on which no move applies, or whose certificate does not
+replay, is a defect in the moves and raises InternalError (no tree of
+order <= 18 does).  structural_upper_bound_check tests the upper
+family's condition as the paper states it, which is necessary but not
+sufficient, and upper_family_check the corrected, exact one.
 """
 
 from __future__ import annotations
@@ -50,16 +50,11 @@ def _require_diameter(tree):
         )
 
 
-def _lower_bound_holds(order, parent):
-    """tcoi == n - beta on the tree that (order, parent) spans."""
-    tcoi = _unit_value(order, parent, "tcoi")
-    return tcoi == len(order) - _unit_value(order, parent, "beta")
-
-
 def attains_lower_bound(tree):
     """True iff the total co-independent domination number equals n - beta."""
     _require_diameter(tree)
-    return _lower_bound_holds(tree.order, tree.parent)
+    tcoi = _unit_value(tree.order, tree.parent, "tcoi")
+    return tcoi == tree.n - _unit_value(tree.order, tree.parent, "beta")
 
 
 def attains_upper_bound(tree):
@@ -232,19 +227,21 @@ class _Peel:
     (empty for removed vertices), the number of vertices left, and the
     leaf, support and semi-support classes as StructureReport defines them.
 
-    It keeps the input's rooting (order, parent), down[w], the far end of
-    w's subtree (_far_ends), and lazy heaps that remove feeds: triples
-    (_select_triple), ends (supports of degree 2), doubles (two leaves).
+    It keeps the input's rooting (order, and a copy of parent in which a
+    vertex whose parent was removed has parent -1), down[w], the far end
+    of w's subtree (_far_ends), lazy heaps that remove feeds: triples
+    (_select_triple), ends (supports of degree 2), doubles (two leaves),
+    and sets, a _Membership on the same parent list that remove cuts.
     """
 
     def __init__(self, tree):
         adj = self.adj = [set(a) for a in tree.adj]
         self.n = tree.n
-        self.order, self.parent = tree.order, tree.parent
+        self.order, self.parent = tree.order, list(tree.parent)
         self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree.adj)[:3])
         self.ends = sorted(x for x in self.supports if len(adj[x]) == 2)
         self.doubles = sorted(x for x in self.supports if len(adj[x] & self.leaves) > 1)
-        self.down = self.triples = None
+        self.down = self.triples = self.sets = None
 
     def key_triples(self):
         """Set down and triples from one rerooting pass over what is left,
@@ -270,7 +267,7 @@ class _Peel:
             p = parent[v]
             for c in adj[v] - {s, p}:
                 best = min(best, (down[c][0] - k - 1, down[c][1]))
-            if p not in adj[v]:
+            if p < 0:
                 return best
             s, v, k = v, p, k + 1
             best = min(best, (-k, v))
@@ -278,8 +275,8 @@ class _Peel:
     def remove(self, piece):
         """Delete the piece, which must hang from the rest by exactly one
         edge (so that both stay trees), else raise NotATreeError; then
-        update down, the classes and the heaps near the rest's end of that
-        edge."""
+        update parent, sets, down, the classes and the heaps near the
+        rest's end of that edge."""
         adj, parent, down = self.adj, self.parent, self.down
         piece = set(piece)
         for x in piece:
@@ -294,14 +291,14 @@ class _Peel:
         leaves, supports, semi = self.leaves, self.supports, self.semi
         for x in piece:
             adj[x] = set()
-            leaves.discard(x)
-            supports.discard(x)
-            semi.discard(x)
+        for group in (leaves, supports, semi):
+            group -= piece
         adj[b].discard(a)
         self.n -= len(piece)
-        # keep order at most twice what is left, so a pass over it is O(n)
-        if 2 * self.n <= len(self.order):
-            self.order = [x for x in self.order if adj[x]]
+        if parent[a] != b:
+            parent[b] = -1
+        elif self.sets:
+            self.sets.cut(a)
         # a piece below b changes down on b and on ancestors until one holds
         w = b if down and parent[a] == b else -1
         while w >= 0:
@@ -312,7 +309,7 @@ class _Peel:
             if best == down[w]:
                 break
             down[w] = best
-            w = p if p in adj[w] else -1
+            w = p
         # b's degree is the only one that changed: its leaf status can
         # change, hence the support status of b and its neighbors, hence
         # the semi-support status of everything within distance 2 of b
@@ -348,37 +345,35 @@ def _q_chain_move(state, v, s, h):
     """Peel for the caterpillar configuration hanging at semi-support v:
     follow the support chain from s and peel its far end (reverse O2), or,
     for a one-link chain whose O2 remainder leaves the lower family, peel
-    the whole 4-vertex piece as a reverse O4."""
+    the whole 4-vertex piece as a reverse O4.
+
+    A member T minus a one-link s1 and its leaf h1 is a member iff some
+    w in adj[s] - {h, s1} lies in a minimum tcoi set D of T.  In a member,
+    D's complement is a maximum independent set, so D holds s and s1 but
+    not h or h1, and beta drops by 1; D -> D - {s1} and D' -> D' + {s1}
+    then match the two trees' minimum tcoi sets in which s has a neighbor
+    other than s1."""
     adj, leaves, supports = state.adj, state.leaves, state.supports
     chain = [s]
     while nxt := [x for x in adj[chain[-1]] if x in supports and x not in chain[-2:]]:
         chain.append(min(nxt))
-    if len(chain) >= 3:
-        sr, srm1 = chain[-1], chain[-2]
-        hr_list = sorted(adj[sr] & leaves)
-        if hr_list and adj[sr] == {srm1, hr_list[0]}:
-            return _Reduction("O2", (sr, hr_list[0]), srm1)
+    # every support has a leaf
+    sr, srm1 = chain[-1], chain[-2]
+    hr = min(adj[sr] & leaves)
+    if adj[sr] != {srm1, hr}:
         return None
-    # one-link chain: s - s1
-    s1 = chain[1]
-    h1_list = sorted(adj[s1] & leaves)
-    if not h1_list:
-        return None
-    h1 = h1_list[0]
-    if adj[s1] == {s, h1}:
-        # s1 and h1 hang from s by one edge, so the rest of the input's
-        # order is rooted at its first vertex, whose parent no DP reads
-        rest = [x for x in state.order if adj[x] and x != s1 and x != h1]
-        if _lower_bound_holds(rest, state.parent):
-            return _Reduction("O2", (s1, h1), s)
-        if adj[s] == {h, v, s1}:
-            return _Reduction("O4", (h, s, s1, h1), v)
+    if len(chain) == 2 and state.sets is None:
+        state.sets = _Membership(state.parent, [x for x in state.order if adj[x]])
+    if len(chain) > 2 or any(state.sets.member(w, "tcoi") for w in adj[s] - {h, sr}):
+        return _Reduction("O2", (sr, hr), srm1)
+    if adj[s] == {h, v, sr}:
+        return _Reduction("O4", (h, s, sr, hr), v)
     return None
 
 
 def _far_ends(adj, order, parent):
     """(down, up) for a rooted order of the tree (each vertex after its
-    parent; the first one's parent is -1 or a vertex no longer in adj):
+    parent; the first one's parent is -1):
     down[w] is the far end of the directed edge (parent[w], w) and up[w]
     that of (w, parent[w]), both lists indexed by vertex label.
     The far end of (u, w) is (-d, x), where d is the largest distance from
@@ -404,7 +399,7 @@ def _far_ends(adj, order, parent):
     up = [None] * len(parent)  # up[w]: the rest of the tree, seen from parent[w]
     for p in order:
         first, second = (0, p), None
-        if parent[p] in adj[p]:
+        if parent[p] >= 0:
             d, x = up[p]
             first = min(first, (d - 1, x))
         for c in adj[p]:
@@ -503,8 +498,7 @@ def _proof_move(state):
     # s has no support neighbor: it must be the degree-2 end of the path
     if adj[s] != {h, v}:
         return None
-    v_sup = [w for w in adj[v] if w in supports]
-    if len(v_sup) > 1:
+    if len(adj[v] & supports) > 1:
         return _Reduction("O2", (s, h), v)
     if len(adj[v]) != 2:
         return None
@@ -512,24 +506,21 @@ def _proof_move(state):
     # the child of p above h2 if h2 lies below p, else p's parent
     (p,) = adj[v] - {s}
     parent, x = state.parent, h2
-    while parent[x] != p and parent[x] in adj[x]:
+    while parent[x] != p and parent[x] >= 0:
         x = parent[x]
     q = x if parent[x] == p else parent[p]
     if adj[p] == {v, q}:
         return _Reduction("O3", (p, v, s, h), q)
     for w in sorted(adj[p] - {v, q}):
         if w in supports:
-            wl = sorted(adj[w] & leaves)
-            if wl:
-                return _q_chain_move(state, p, w, wl[0])
+            return _q_chain_move(state, p, w, min(adj[w] & leaves))
     return None
 
 
 def decompose_to_p4(tree):
     """Find an operation certificate rebuilding the tree from P_4
     (_certificate_steps), or None if the tree misses the lower bound."""
-    _require_diameter(tree)
-    if not _lower_bound_holds(tree.order, tree.parent):
+    if not attains_lower_bound(tree):
         return None
     return Certificate(_certificate_steps(tree), canonical_code(tree))
 
@@ -568,13 +559,11 @@ def _certificate_steps(tree):
         while len(order) < 4:
             order.append(next(w for w in state.adj[order[-1]] if w not in order))
         phi = {b: i for i, b in enumerate(order)}
-        n = 4
         steps = []
         for red in reversed(reductions):
-            labels = tuple(range(n, n + len(red.removed)))
+            labels = tuple(range(len(phi), len(phi) + len(red.removed)))
             phi.update(zip(red.removed, labels))
             steps.append(OperationStep(red.kind, phi[red.attach], labels))
-            n += len(labels)
         mapped = sorted(tuple(sorted((phi[u], phi[v]))) for u, v in tree.edges)
         if sorted(_replay(steps)) != mapped:
             raise CertificateMismatchError("replay is not the target under the relabeling")

@@ -298,15 +298,16 @@ def in_some_optimal_set(tree, v, which):
 
 
 # ---------------------------------------------------------------------------
-# Incremental membership on a growing tree
+# Incremental membership on a tree that grows and is cut
 #
 # A vertex's DP state shifts by c when one child's does, so each vertex
 # keeps the state folded from its children's normalized states, itself
 # normalized by its offset (max(in, out) for beta; min(a, o) for tcoi, the
 # optimum at the root), and the optimum is the sum of the offsets.  A
-# weight change at v changes the normalized states of v and its ancestors
-# up to the first one that holds, and no other.  Each fold is one vertex
-# of _beta_opt or _tcoi_opt, with inf for an impossible state.
+# weight change at v, or a child added to or cut from v, changes the
+# normalized states of v and its ancestors up to the first one that holds,
+# and no other.  Each fold is one vertex of _beta_opt or _tcoi_opt, with
+# inf for an impossible state.
 # ---------------------------------------------------------------------------
 
 _INF = float("inf")
@@ -340,12 +341,15 @@ _FOLD = {"beta": _beta_fold, "tcoi": _tcoi_fold}
 
 
 class _Membership:
-    """in_some_optimal_set on a growing tree of order >= 3, by walks up
-    from the vertex asked about, with every other vertex weighing 2.
+    """in_some_optimal_set on a tree of order >= 3 that grows and is cut,
+    by walks up from the vertex asked about, with every other vertex
+    weighing 2.
 
-    parent is the caller's parent list, which the caller grows: add takes
-    vertices already in it, each after its parent.  state[which][v] is v's
-    (normalized state, offset) pair.
+    parent is the caller's: every vertex of the tree has its parent there,
+    or -1 at the root.  add takes vertices already in it, each after its
+    parent; cut drops a subtree.  To drop all but v's subtree, the caller
+    sets parent[v] = -1: a state holds only its subtree, so none changes.
+    state[which][v] is v's (normalized state, offset) pair.
     """
 
     def __init__(self, parent, vertices):
@@ -355,16 +359,23 @@ class _Membership:
 
     def add(self, vertices):
         parent, kids = self.parent, self.kids
-        kids += [[] for _ in vertices]
+        kids += [[] for _ in range(len(parent) - len(kids))]
         for x in vertices:
             if parent[x] >= 0:
                 kids[parent[x]].append(x)
         for which, fold in _FOLD.items():
             state = self.state[which]
-            state += [None] * len(vertices)
+            state += [None] * (len(parent) - len(state))
             for x in reversed(vertices):
                 state[x] = fold(2, kids[x], state)
             self._walk(fold, state, parent[vertices[0]], 2)
+
+    def cut(self, a):
+        """Drop a's subtree: a leaves its parent's children, and the parent
+        and its ancestors are re-folded until one's state holds."""
+        self.kids[self.parent[a]].remove(a)
+        for which, fold in _FOLD.items():
+            self._walk(fold, self.state[which], self.parent[a], 2)
 
     def _walk(self, fold, state, v, w):
         """Re-fold v with weight w, then its ancestors until one's normalized

@@ -104,13 +104,20 @@ def reference_select_triple(tree, rep):
     return best[1], best[2], best[3]
 
 
+def alive_tree(adj, drop=()):
+    """(tree, alive): what a _Peel state with adjacency sets adj has left,
+    minus the vertices in drop, as a Tree renumbered in label order, and
+    its vertices' labels in the state."""
+    alive = [v for v, a in enumerate(adj) if a and v not in drop]
+    label = {v: i for i, v in enumerate(alive)}
+    return Tree(len(alive), [(label[u], label[w]) for u in alive
+                             for w in adj[u] if u < w and w in label]), alive
+
+
 def state_triple(state):
     """reference_select_triple on what a _Peel state has left, renumbered in
     label order so that ties break the same way, or None."""
-    alive = [v for v, a in enumerate(state.adj) if a]
-    label = {v: i for i, v in enumerate(alive)}
-    t = Tree(len(alive), [(label[u], label[w]) for u in alive
-                          for w in state.adj[u] if u < w])
+    t, alive = alive_tree(state.adj)
     expected = reference_select_triple(t, structure(t))
     return expected and tuple(alive[i] for i in expected)
 
@@ -350,9 +357,19 @@ class TestDecompose:
         assert len(cert.steps) == 4
         assert sorted(dp_calls) == ["_beta_opt", "_tcoi_opt"]
 
+    def test_grown_member_peels_without_full_folds(self, dp_calls):
+        # the input's lower bound makes the only two DP calls: the peel
+        # decides each one-link O2 check by membership walks, not folds
+        for n in (160, 320):
+            for seed in (0, 1):
+                t = grown_member(n, seed)
+                dp_calls.clear()
+                decompose_to_p4(t)
+                assert sorted(dp_calls) == ["_beta_opt", "_tcoi_opt"], (n, seed)
+
     def test_q_tree_certificate_replays_without_full_folds(self, dp_calls):
-        # a q-tree's peel has no one-link O2 check, so its certificate
-        # costs the input's lower bound alone, and verifying it none
+        # a q-tree's certificate costs the input's lower bound alone, and
+        # verifying it none
         t = q_tree(600)
         cert = decompose_to_p4(t)
         assert len(cert.steps) == 600 and len(dp_calls) == 2
@@ -427,9 +444,12 @@ class TestDecompose:
     def test_heap_triple_matches_definition(self, wide_trees, monkeypatch):
         # at every peel that selects a triple, the lazy heap's choice must
         # be the definition's on the tree left at that point, rebuilt with
-        # its vertices renumbered in order so that ties break the same way
-        real = characterize._select_triple
-        checked = []
+        # its vertices renumbered in order so that ties break the same way;
+        # and at every one-link check (s1 = chain[1] holds only s and its
+        # leaf h1), the membership walks must peel s1 and h1 (reverse O2)
+        # exactly when the tree left minus them attains the lower bound
+        real, real_chain = characterize._select_triple, characterize._q_chain_move
+        checked, links = [], []
 
         def checking(state):
             got = real(state)
@@ -437,14 +457,27 @@ class TestDecompose:
             checked.append(state.n)
             return got
 
+        def checking_chain(state, v, s, h):
+            got = real_chain(state, v, s, h)
+            s1 = min(state.adj[s] & state.supports)
+            if len(state.adj[s1]) == 2:
+                (h1,) = state.adj[s1] - {s}
+                rest = alive_tree(state.adj, {s1, h1})[0]
+                peeled = got is not None and got.removed == (s1, h1)
+                assert peeled == attains_lower_bound(rest), state.adj
+                links.append(peeled)
+            return got
+
         monkeypatch.setattr(characterize, "_select_triple", checking)
+        monkeypatch.setattr(characterize, "_q_chain_move", checking_chain)
         for t in wide_trees(4, 12):
             decompose_to_p4(t)
-        small = len(checked)
+        small = len(checked), len(links)
         for n in (40, 80, 160, 320):
             for seed in (0, 1):
                 decompose_to_p4(grown_member(n, seed))
-        assert (small, len(checked)) == (163, 487)
+        # one-link checks: 48 at n <= 12, 187 in all, 64 of them peeled
+        assert (small, len(checked), len(links), sum(links)) == ((163, 48), 487, 187, 64)
 
     def test_heap_triple_after_any_pendant_removal(self):
         # the proof moves never strip a support of its last leaf, which
@@ -515,18 +548,23 @@ class TestDecompose:
             state.remove(piece)
 
     def test_certificate_text_pinned(self, wide_trees):
-        # certificate_to_text of every lower-family member with n <= 12, in
-        # enumeration order, as the peel over rebuilt trees produced it
-        digest = hashlib.sha256()
-        members = 0
-        for t in wide_trees(4, 12):
+        # certificate_to_text of every lower-family member with n <= 12,
+        # and with n <= 14, in enumeration order, as the peel over rebuilt
+        # trees, and the peel with one-link checks by full folds, produced it
+        digests = {12: hashlib.sha256(), 14: hashlib.sha256()}
+        members = {12: 0, 14: 0}
+        for t in wide_trees(4, 14):
             cert = decompose_to_p4(t)
             if cert is not None:
-                digest.update(certificate_to_text(cert).encode())
-                members += 1
-        assert members == 307
-        assert digest.hexdigest() == (
-            "74a81de199e45c6ecb14b3731f48417ed06bca91cbbe5f517fead9ad80accddd")
+                for hi, digest in digests.items():
+                    if t.n <= hi:
+                        digest.update(certificate_to_text(cert).encode())
+                        members[hi] += 1
+        assert members == {12: 307, 14: 1389}
+        assert {hi: d.hexdigest() for hi, d in digests.items()} == {
+            12: "74a81de199e45c6ecb14b3731f48417ed06bca91cbbe5f517fead9ad80accddd",
+            14: "4c7f84e3dbdbec99676ee776968d45849ce83df64ddf02cd752be98860ba906b",
+        }
 
     def test_q_tree_and_comb_certificates_pinned(self):
         # certificate_to_text of q_tree(r), 2 <= r <= 100, then comb(k),

@@ -4,7 +4,8 @@ and its far ends after drawn removals against BFS, on trees drawn as
 Prufer sequences; certificates of lower-family members grown from P_4 by
 drawn valid O1-O4 steps, the invariant shifts of each step, the
 certificate replay against step-by-step apply_operation on drawn step
-sequences, and the replay's incremental membership against the full fold.
+sequences, and the incremental membership, on a tree grown by drawn steps
+and on one cut by drawn removals, against the full fold.
 
 Runs are derandomized, so the drawn trees are the same on every run.
 """
@@ -114,6 +115,9 @@ def test_peel_far_ends_match_bfs(data):
         state.remove(piece)
         if state.down is None:
             state.key_triples()
+        # a vertex whose parent was removed has parent -1
+        for x, nbrs in enumerate(state.adj):
+            assert not nbrs or state.parent[x] == -1 or state.adj[state.parent[x]]
         for a, nbrs in enumerate(state.adj):
             for b in nbrs:
                 assert state.far_end(a, b) == side_far_end(state.adj, a, b)
@@ -222,3 +226,34 @@ def test_membership_walks_match_full_fold(data):
         for which in ("beta", "tcoi"):
             got = [sets.member(v, which) for v in range(tree.n)]
             assert got == [in_some_optimal_set(tree, v, which) for v in range(tree.n)]
+
+
+@settings(DETERMINISTIC, max_examples=150)
+@given(st.data())
+def test_membership_cuts_match_full_fold(data):
+    # cut drawn edges of a drawn tree and remove either side, the one
+    # holding the input's root included, through a _Peel that keeps a
+    # _Membership, built before the first cut or after it, as the one-link
+    # check does: after each cut its answer for every vertex left and both
+    # invariants must be the full fold's on what is left
+    tree = data.draw(trees(lo=5, hi=24))
+    state, removed = _Peel(tree), set()
+    if data.draw(st.booleans()):
+        state.sets = _Membership(state.parent, tree.order)
+    for _ in range(data.draw(st.integers(1, 6))):
+        edges = sorted((u, w) for u, a in enumerate(state.adj) for w in a)
+        u, w = data.draw(st.sampled_from(edges))
+        from_u, from_w = _bfs(state.adj, u)[2], _bfs(state.adj, w)[2]
+        piece = [x for x, d in enumerate(from_u) if 0 <= d < from_w[x]]
+        if state.n - len(piece) < 3:
+            piece = [x for x, d in enumerate(from_w) if 0 <= d < from_u[x]]
+        if state.n - len(piece) < 3:
+            break
+        state.remove(piece)
+        removed.update(piece)
+        if state.sets is None:
+            state.sets = _Membership(state.parent, [x for x in tree.order if state.adj[x]])
+        rest, label = tree.without(removed)
+        for which in ("beta", "tcoi"):
+            got = [state.sets.member(v, which) for v in label]
+            assert got == [in_some_optimal_set(rest, label[v], which) for v in label]
