@@ -10,8 +10,9 @@ is built or encoded twice.  run_census reads each tree's record off its
 sequence, one tree at a time (_classify_levels, which classify reaches
 through a center-rooted preorder); it builds a Tree only for a
 lower-family member's certificate and for the subset checks, which test
-bit masks.  It counts violations of the verified statements; all counters
-must be zero.
+bit masks (minimality asks is_minimal_tcoi_set's condition of each mask).
+It counts violations of the verified statements; all counters must be
+zero.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .characterize import _certificate_steps, _stated_upper_condition
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
     SUBSET_CAP,
+    _minimal_mask,
+    _neighbor_masks,
     _optimal_masks,
     _unit_value,
     _valid_chunks,
-    is_minimal_tcoi_set,
 )
 from .trees import (
     Tree,
@@ -257,11 +259,10 @@ def check_minimality_agreement(tree):
     D - {v} is one exactly when its mask is among the enumerated ones."""
     masks = [m for hits in _valid_chunks(tree, "tcoi", SUBSET_CAP) for m in hits.tolist()]
     valid = set(masks)
+    nb = _neighbor_masks(tree)
     for m in masks:
-        d = [v for v in range(tree.n) if m >> v & 1]
-        by_condition = is_minimal_tcoi_set(tree, d)
-        by_removal = not any(m ^ 1 << v in valid for v in d)
-        if by_condition != by_removal:
+        by_removal = not any(m ^ 1 << v in valid for v in range(tree.n) if m >> v & 1)
+        if _minimal_mask(tree.adj, nb, m) != by_removal:
             return False
     return True
 

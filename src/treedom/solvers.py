@@ -10,8 +10,9 @@ Each invariant has two independent routes:
   vertex answer membership-in-some-optimal-set, each in one pass, or by
   a walk up from the vertex on a growing tree, _Membership), and
 * a brute-force oracle that enumerates every subset as a bit mask and
-  evaluates the defining predicate directly (vectorized with numpy, which
-  only the oracle imports, on its first call).
+  evaluates the defining predicate directly, as bool algebra on bit
+  columns (column v holds bit v of every mask in a chunk; vectorized with
+  numpy, which only the oracle imports, on its first call).
 
 Witnesses are deterministic: among optimal sets the one whose sorted vertex
 list is lexicographically smallest is returned.
@@ -20,6 +21,8 @@ list is lexicographically smallest is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import (
     NotATcoiSetError,
@@ -37,7 +40,7 @@ SUBSET_CAP = 16
 # and holds O(n^2) bits: at this order invariant_report on a path peaks near
 # 77 MB max RSS and takes about 0.7 s (CPython 3.11.7, 2.1 GHz Xeon).
 WITNESS_MAX_N = 20000
-_CHUNK = 1 << 16
+_CHUNK_BITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +95,16 @@ def is_minimal_tcoi_set(tree, members):
         nb[v] & m and (m >> v & 1 or not nb[v] & ~m) for v in range(tree.n)
     ):
         raise NotATcoiSetError(f"{sorted(s)} is not a total co-independent dominating set")
-    # v is w's sole dominator when w's in-set neighbors are v alone
+    return _minimal_mask(tree.adj, nb, m)
+
+
+def _minimal_mask(adj, nb, m):
+    """The minimality condition on the tcoi set with mask m, where nb[v] is
+    the mask of v's neighbors: v is w's sole dominator when w's in-set
+    neighbors are v alone."""
     return all(
-        nb[v] & ~m or any(nb[w] & m == 1 << v for w in tree.adj[v]) for v in s
+        nb[v] & ~m or any(nb[w] & m == 1 << v for w in adj[v])
+        for v in range(len(nb)) if m >> v & 1
     )
 
 
@@ -349,12 +359,13 @@ class _Membership:
     or -1 at the root.  add takes vertices already in it, each after its
     parent; cut drops a subtree.  To drop all but v's subtree, the caller
     sets parent[v] = -1: a state holds only its subtree, so none changes.
-    state[which][v] is v's (normalized state, offset) pair.
+    state[which][v] is v's (normalized state, offset) pair; an invariant's
+    states are folded over order, every vertex added so far, when it is
+    first asked about, and kept up to date from then on.
     """
 
     def __init__(self, parent, vertices):
-        self.parent, self.kids = parent, []
-        self.state = {which: [] for which in _FOLD}
+        self.parent, self.kids, self.order, self.state = parent, [], [], {}
         self.add(vertices)
 
     def add(self, vertices):
@@ -363,19 +374,23 @@ class _Membership:
         for x in vertices:
             if parent[x] >= 0:
                 kids[parent[x]].append(x)
-        for which, fold in _FOLD.items():
-            state = self.state[which]
-            state += [None] * (len(parent) - len(state))
-            for x in reversed(vertices):
-                state[x] = fold(2, kids[x], state)
-            self._walk(fold, state, parent[vertices[0]], 2)
+        self.order += vertices
+        for which, state in self.state.items():
+            self._fold(_FOLD[which], state, vertices)
+            self._walk(_FOLD[which], state, parent[vertices[0]], 2)
+
+    def _fold(self, fold, state, vertices):
+        kids = self.kids
+        state += [None] * (len(self.parent) - len(state))
+        for x in reversed(vertices):
+            state[x] = fold(2, kids[x], state)
 
     def cut(self, a):
         """Drop a's subtree: a leaves its parent's children, and the parent
         and its ancestors are re-folded until one's state holds."""
         self.kids[self.parent[a]].remove(a)
-        for which, fold in _FOLD.items():
-            self._walk(fold, self.state[which], self.parent[a], 2)
+        for which, state in self.state.items():
+            self._walk(_FOLD[which], state, self.parent[a], 2)
 
     def _walk(self, fold, state, v, w):
         """Re-fold v with weight w, then its ancestors until one's normalized
@@ -393,7 +408,10 @@ class _Membership:
         return change, undo
 
     def member(self, v, which):
-        state = self.state[which]
+        state = self.state.get(which)
+        if state is None:
+            state = self.state[which] = []
+            self._fold(_FOLD[which], state, self.order)
         change, undo = self._walk(_FOLD[which], state, v, 3 if which == "beta" else 1)
         for x, old in undo:
             state[x] = old
@@ -413,37 +431,48 @@ def _neighbor_masks(tree):
     return nb
 
 
-def _mask_valid(tree, arr, which, nb):
-    import numpy as np
-
-    ok = np.ones(arr.shape, dtype=bool)
-    if which == "beta":
-        for u, v in tree.edges:
-            ok &= ((arr >> np.uint64(u)) & (arr >> np.uint64(v)) & np.uint64(1)) == 0
-        return ok
-    for v in range(tree.n):
-        ok &= (arr & np.uint64(nb[v])) != 0
-    if which == "tcoi":
-        for u, v in tree.edges:
-            ok &= (((arr >> np.uint64(u)) | (arr >> np.uint64(v))) & np.uint64(1)) != 0
-        ok &= arr != np.uint64((1 << tree.n) - 1)
-    return ok
+# _COLS[v][m] is bit v of m for m < 2^k, v < k, k = min(largest order asked
+# so far, _CHUNK_BITS)
+_COLS = []
 
 
 def _valid_chunks(tree, which, cap):
-    """Yield, in ascending order and chunk by chunk of _CHUNK masks, the
-    uint64 subset masks (vertex v at bit v) that satisfy the invariant's
-    defining predicate, so that memory follows the hits, not 2^n."""
+    """Yield, in ascending order and chunk by chunk of 2^_CHUNK_BITS masks,
+    the uint64 subset masks (vertex v at bit v) that satisfy the invariant's
+    defining predicate, so that memory follows the hits, not 2^n.
+
+    The predicate is bool algebra on the masks' bit columns: each low bit's
+    column is the same cached array in every chunk, and a higher bit is a
+    bool constant over a chunk."""
     import numpy as np
 
     n = tree.n
     if n > cap:
         raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
     _check_defined(n, which)
-    nb = _neighbor_masks(tree)
-    for lo in range(0, 1 << n, _CHUNK):
-        arr = np.arange(lo, min(lo + _CHUNK, 1 << n), dtype=np.uint64)
-        yield arr[_mask_valid(tree, arr, which, nb)]
+    k = min(n, _CHUNK_BITS)
+    if len(_COLS) < k:
+        _COLS[:] = [np.tile(np.repeat([False, True], 1 << v), 1 << (k - 1 - v))
+                    for v in range(k)]
+    low, size = [c[:1 << k] for c in _COLS[:k]], 1 << k
+    for lo in range(0, 1 << n, size):
+        cols = low + [bool(lo >> v & 1) for v in range(k, n)]
+        if which == "beta":
+            bad = np.zeros(size, dtype=bool)
+            for u, v in tree.edges:
+                bad |= cols[u] & cols[v]
+            ok = ~bad
+        else:
+            ok = np.ones(size, dtype=bool)
+            for v in range(n):
+                ok &= reduce(or_, [cols[w] for w in tree.adj[v]])
+        if which == "tcoi":
+            for u, v in tree.edges:
+                ok &= cols[u] | cols[v]
+            if lo + size == 1 << n:
+                ok[-1] = False  # the full mask leaves no vertex out
+        hits = np.flatnonzero(ok).astype(np.uint64)
+        yield hits + np.uint64(lo) if lo else hits
 
 
 def _mask_sets(chunks, n):

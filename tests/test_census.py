@@ -241,8 +241,9 @@ class TestHarnessChecks:
 
     def test_minimality_mismatch_is_caught(self, monkeypatch):
         # comb(3) has tcoi sets that are not minimal, so a condition that
-        # accepts every set must disagree with single removals
-        monkeypatch.setattr(census, "is_minimal_tcoi_set", lambda tree, d: True)
+        # accepts every set must disagree with single removals; the census
+        # asks the mask-level condition that is_minimal_tcoi_set wraps
+        monkeypatch.setattr(census, "_minimal_mask", lambda adj, nb, m: True)
         assert not check_minimality_agreement(comb(3))
 
 

@@ -40,7 +40,7 @@ from treedom import (
     upper_family_check,
     verify_certificate,
 )
-from treedom import characterize, trees
+from treedom import characterize, solvers, trees
 from treedom.cli import main
 from treedom.generators import OP_SIZES
 
@@ -376,6 +376,28 @@ class TestDecompose:
         dp_calls.clear()
         assert verify_certificate(cert, t)
         assert dp_calls == []
+
+    def test_memberships_fold_beta_only_when_asked(self, monkeypatch):
+        # the peel asks only tcoi, so it folds no beta state; a replay
+        # folds them at its first O4 step, and one with no O4 step never
+        calls = []
+        real = solvers._FOLD["beta"]
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setitem(solvers._FOLD, "beta", counting)
+        cert = decompose_to_p4(grown_member(320, 0))
+        peel_and_replay = len(calls)
+        calls.clear()
+        characterize._replay(cert.steps)
+        assert calls and len(calls) == peel_and_replay
+        cert = decompose_to_p4(q_tree(600))
+        assert all(s.op_kind != "O4" for s in cert.steps)
+        calls.clear()
+        characterize._replay(cert.steps)
+        assert calls == []
 
     def test_stale_far_end_raises(self, monkeypatch):
         # a peel whose far ends go stale (here: remove skips refreshing

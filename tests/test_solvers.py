@@ -16,6 +16,7 @@ from treedom import (
     all_tcoi_sets,
     brute_force,
     comb,
+    enumerate_trees,
     family_f,
     in_some_optimal_set,
     independence_number,
@@ -306,6 +307,58 @@ class TestLazyNumpy:
             env=dict(os.environ, PYTHONPATH=src), timeout=60,
         )
         assert r.returncode == 0, r.stderr.decode()
+
+
+def reference_valid_masks(tree, which):
+    """Every mask (vertex v at bit v) that satisfies the defining predicate,
+    by shifts and masks on all 2^n uint64 masks at once."""
+    import numpy as np
+
+    arr = np.arange(1 << tree.n, dtype=np.uint64)
+    ok = np.ones(arr.shape, dtype=bool)
+    if which == "beta":
+        for u, v in tree.edges:
+            ok &= ((arr >> np.uint64(u)) & (arr >> np.uint64(v)) & np.uint64(1)) == 0
+        return arr[ok]
+    for v in range(tree.n):
+        nb = sum(1 << w for w in tree.adj[v])
+        ok &= (arr & np.uint64(nb)) != 0
+    if which == "tcoi":
+        for u, v in tree.edges:
+            ok &= (((arr >> np.uint64(u)) | (arr >> np.uint64(v))) & np.uint64(1)) != 0
+        ok &= arr != np.uint64((1 << tree.n) - 1)
+    return arr[ok]
+
+
+class TestBitColumns:
+    # star(17), path(17) and the order-18 trees span 2 and 4 chunks, so
+    # their bits 16 and 17 are constant over each chunk
+    TREES = [t for n in range(1, 10) for t in enumerate_trees(n)] + [
+        star(17), path(17), relabeled_random_tree(18, 0), relabeled_random_tree(18, 1),
+    ]
+
+    @pytest.mark.parametrize("which", ["beta", "gamma_t", "tcoi"])
+    def test_valid_chunks_match_shift_and_mask(self, which):
+        import numpy as np
+
+        least = {"beta": 1, "gamma_t": 2, "tcoi": 3}[which]
+        for t in self.TREES:
+            if t.n < least:
+                continue
+            chunks = list(solvers._valid_chunks(t, which, solvers.BRUTE_FORCE_CAP))
+            assert all(c.dtype == np.uint64 for c in chunks)
+            assert np.array_equal(np.concatenate(chunks), reference_valid_masks(t, which))
+
+    def test_columns_sized_by_largest_order(self, monkeypatch):
+        # a chunk holds min(2^n, 2^16) masks, and only bits below 16 vary
+        # within one
+        monkeypatch.setattr(solvers, "_COLS", [])
+        brute_force(path(12), "beta")
+        assert [len(c) for c in solvers._COLS] == [1 << 12] * 12
+        brute_force(path(5), "tcoi")
+        assert [len(c) for c in solvers._COLS] == [1 << 12] * 12
+        brute_force(star(18), "gamma_t")
+        assert [len(c) for c in solvers._COLS] == [1 << 16] * 16
 
 
 class TestBeyondCorpus:
