@@ -143,21 +143,24 @@ def certificate_to_text(cert):
     return "\n".join(lines) + "\n"
 
 
-_STEP_RE = re.compile(r"^(O[1-4]) attach=(\d+) new=(\d+(?:,\d+)*)$")
+_STEP_RE = re.compile(r"^(O[1-4]) attach=([0-9]+) new=([0-9]+(?:,[0-9]+)*)$")
 
 
 def certificate_from_text(text):
+    """Inverse of certificate_to_text.  Input must be ASCII, since int()
+    reads other scripts' digits, and the canon= value hex digits alone,
+    since bytes.fromhex skips spaces."""
+    if not text.isascii():
+        raise CertificateMismatchError("certificate contains a non-ASCII character")
     lines = [l.strip() for l in text.strip().splitlines() if l.strip()]
     if not lines or lines[0] != "base=P4":
         raise CertificateMismatchError("certificate must start with 'base=P4'")
     if not lines[-1].startswith("canon="):
         raise CertificateMismatchError("certificate must end with a canon= line")
-    try:
-        final_code = bytes.fromhex(lines[-1][len("canon="):])
-    except ValueError:
-        raise CertificateMismatchError(
-            f"bad canon= value: {lines[-1][len('canon='):]!r} is not hex bytes"
-        ) from None
+    hex_code = lines[-1][len("canon="):]
+    if not re.fullmatch("(?:[0-9a-fA-F]{2})*", hex_code):
+        raise CertificateMismatchError(f"bad canon= value: {hex_code!r} is not hex bytes")
+    final_code = bytes.fromhex(hex_code)
     steps = []
     for line in lines[1:-1]:
         m = _STEP_RE.match(line)

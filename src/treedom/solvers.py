@@ -87,15 +87,9 @@ def is_minimal_tcoi_set(tree, members):
     a tcoi set at all.
     """
     s = _as_set(tree, members)
-    nb = _neighbor_masks(tree)
-    m = sum(1 << v for v in s)
-    # a tcoi set leaves some vertex out, dominates every vertex, and holds
-    # every neighbor of each vertex it leaves out
-    if m == (1 << tree.n) - 1 or not all(
-        nb[v] & m and (m >> v & 1 or not nb[v] & ~m) for v in range(tree.n)
-    ):
+    if not is_tcoi_set(tree, s):
         raise NotATcoiSetError(f"{sorted(s)} is not a total co-independent dominating set")
-    return _minimal_mask(tree.adj, nb, m)
+    return _minimal_mask(tree.adj, _neighbor_masks(tree), sum(1 << v for v in s))
 
 
 def _minimal_mask(adj, nb, m):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -734,8 +735,20 @@ class TestCertificateText:
             certificate_from_text("O1 attach=0 new=4\ncanon=00")
         with pytest.raises(CertificateMismatchError):
             certificate_from_text("base=P4\nO9 attach=0 new=4\ncanon=00")
+        # int() reads other scripts' digits: these lines parsed as
+        # attach=2 new=(4,) and new=(4, 5)
+        for step in ("O1 attach=\uff12 new=\u0664", "O1 attach=2 new=4,\u0665"):
+            with pytest.raises(CertificateMismatchError):
+                certificate_from_text(f"base=P4\n{step}\ncanon=00")
+        # an edited certificate of a real member no longer verifies
+        ds = double_star(3, 2)
+        text = certificate_to_text(decompose_to_p4(ds))
+        edited = re.sub("attach=([0-9])", lambda m: "attach=" + chr(0xFF10 + int(m[1])), text)
+        assert edited != text
+        with pytest.raises(CertificateMismatchError):
+            certificate_from_text(edited)
 
-    @pytest.mark.parametrize("canon", ["zz", "0"])
+    @pytest.mark.parametrize("canon", ["zz", "0", "28 28", "2 8", "+28", "\u0662\u0668"])
     def test_bad_canon_hex(self, canon):
         with pytest.raises(CertificateMismatchError):
             certificate_from_text(f"base=P4\ncanon={canon}\n")

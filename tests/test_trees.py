@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -195,6 +196,51 @@ class TestGraph6:
         assert parse_graph6(s).edges == t.edges
         g = nx.path_graph(100)
         assert s == nx.to_graph6_bytes(g, header=False).decode().strip()
+
+    @pytest.mark.parametrize("make", [path, lambda n: random_tree(n, seed=3)],
+                             ids=["path", "random"])
+    def test_round_trip_at_cap(self, make):
+        t = make(GRAPH6_MAX_N)
+        s = serialize_graph6(t)
+        assert len(s) == 4 + (t.n * (t.n - 1) // 2 + 5) // 6
+        assert parse_graph6(s).edges == t.edges
+
+    def test_networkx_decodes_at_cap(self):
+        t = random_tree(GRAPH6_MAX_N, seed=3)
+        g = nx.from_graph6_bytes(serialize_graph6(t).encode())
+        assert g.number_of_nodes() == t.n
+        assert sorted(tuple(sorted(e)) for e in g.edges) == list(t.edges)
+
+    def test_padding_bit_ignored(self):
+        # n = 3 has 3 adjacency bits, so a sextet's low 3 bits are padding;
+        # "p" sets the lowest one, which networkx ignores too
+        assert parse_graph6("Bp").edges == parse_graph6("Bo").edges == ((0, 1), (0, 2))
+        assert sorted(nx.from_graph6_bytes(b"Bp").edges) == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("n", [3, 10, 300])
+    def test_dense_body_rejected_before_decoding(self, n, monkeypatch):
+        def no_decoding(_):
+            raise AssertionError("an edge was decoded")
+
+        # each decoded edge takes one isqrt
+        monkeypatch.setattr("treedom.trees.isqrt", no_decoding)
+        k_n = nx.to_graph6_bytes(nx.complete_graph(n), header=False).strip()
+        with pytest.raises(NotATreeError, match=f"needs {n - 1} edges, got {n * (n - 1) // 2}"):
+            parse_graph6(k_n)
+
+    def test_memory_follows_edges(self):
+        # one list entry per adjacency bit would peak near 100 MB here; the
+        # text itself is 1.4 MB
+        t = random_tree(GRAPH6_MAX_N, seed=5)
+        s = serialize_graph6(t)
+        for f, arg in ((parse_graph6, s), (serialize_graph6, t)):
+            tracemalloc.start()
+            try:
+                f(arg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000, (f.__name__, peak)
 
 
 class TestStructure:
