@@ -6,13 +6,23 @@ of Wright, Richmond, Odlyzko and McKay ("Constant time generation of free
 trees", SIAM J. Comput. 15, 1986): it walks the rooted level sequences in
 the Beyer-Hedetniemi successor order and jumps over every run of
 sequences that are not the canonical rooting of a free tree, so no tree
-is built or encoded twice.  run_census reads each tree's record off its
-sequence, one tree at a time (_classify_levels, which classify reaches
-through a center-rooted preorder); it builds a Tree only for a
-lower-family member's certificate and for the subset checks, which test
-bit masks (minimality asks is_minimal_tcoi_set's condition of each mask).
-It counts violations of the verified statements; all counters must be
-zero.
+is built or encoded twice.
+
+run_census reads each tree's record off its sequence (_classify_levels).
+The sequence splits at its level-1 positions into the subtrees hanging
+from the center, and each is looked up, by its level sequence, in a memo
+of subtree summaries (_Subtree) that lasts one run.  A summary holds the
+three DP states, the AHU code, the leaf count and the flags of the
+paper's stated upper condition.  A missing one is folded along its
+sequence with an explicit stack, each vertex's summary from its
+children's, so each distinct subtree hanging from a center is folded once
+per run, a record folds only the center, and the memo stays linear in
+the subtrees it holds.  classify reaches the same core through a
+center-rooted preorder, with a memo of its own.  A
+lower-family member's certificate peels the sequence's own rooting, and a
+Tree is built only for the subset checks, which test bit masks
+(minimality asks is_minimal_tcoi_set's condition of each mask).  The run
+counts violations of the verified statements; all counters must be zero.
 """
 
 from __future__ import annotations
@@ -21,23 +31,20 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .characterize import _certificate_steps, _stated_upper_condition
+from .characterize import _certificate_steps
 from .errors import BadParameterError, TooLargeError
 from .solvers import (
+    _INF,
     SUBSET_CAP,
+    _beta_fold,
+    _gamma_t_fold,
     _minimal_mask,
     _neighbor_masks,
     _optimal_masks,
-    _unit_value,
+    _tcoi_fold,
     _valid_chunks,
 )
-from .trees import (
-    Tree,
-    _center_levels,
-    _level_code,
-    _vertex_classes,
-    canonical_code,  # re-exported
-)
+from .trees import Tree, _center_levels, canonical_code  # canonical_code re-exported
 
 ENUMERATION_CAP = 18
 
@@ -153,46 +160,154 @@ class CensusRecord:
     certificate_found: bool | None
 
 
-def _classify_levels(seq, tree=None):
-    """The CensusRecord of the tree with center-rooted level sequence seq.
+# _Subtree.kind bits: the root is a leaf, a support (a non-leaf with a leaf
+# neighbor), or a lone support (one without a support child)
+_LEAF, _SUPPORT, _LONE = 1, 2, 4
 
-    The DPs fold along its preorder.  The diameter is the sum of the two
-    highest subtree heights at the center: h and h - 1 exactly when the
-    tree is bicentral.  A lower-family member's certificate takes tree
-    (any tree of the class), else one built from seq.
+
+class _Subtree:
+    """What the census needs of a rooted subtree hanging from a parent
+    outside it, folded from its children's summaries alone.
+
+    beta, gamma_t and tcoi are (normalized state, total) pairs: the state
+    that _beta_fold, _gamma_t_fold or _tcoi_fold gives its root with unit
+    weights, and the sum of the folds' offsets over the subtree, which the
+    state is normalized against.  code is the AHU code "(" + the children's
+    codes, sorted, + ")", and kid_codes that sorted list.  height is the
+    largest depth below the root, leaves the number of leaves (a root
+    without children is one), and kind the root's _LEAF, _SUPPORT and
+    _LONE bits.  Bit q of fails is set when the paper's upper-family
+    condition (each vertex is a leaf, support or semi-support, and each
+    semi-support has an isolated-support neighbor) fails on some vertex of
+    the subtree, given a parent that is q = 0: not a support, 1: a support
+    with a support neighbor, 2: an isolated support.  The parent is the
+    only vertex outside that touches the subtree, and it is not a leaf
+    (it would be one only in the tree on two vertices), so a root is a
+    support exactly when it has a leaf child.
+    """
+
+    __slots__ = ("beta", "gamma_t", "tcoi", "code", "kid_codes", "height",
+                 "leaves", "kind", "fails")
+
+    def __init__(self, kids):
+        self.beta = _folded(_beta_fold, [s.beta for s in kids])
+        self.gamma_t = _folded(_gamma_t_fold, [s.gamma_t for s in kids])
+        self.tcoi = _folded(_tcoi_fold, [s.tcoi for s in kids])
+        codes = self.kid_codes = sorted([s.code for s in kids])
+        self.code = b"(" + b"".join(codes) + b")"
+        height, leaves, seen, fails = -1, 0, 0, 0
+        for s in kids:
+            if s.height > height:
+                height = s.height
+            leaves += s.leaves
+            seen |= s.kind
+            fails |= s.fails
+        self.height = height + 1
+        self.leaves = leaves or 1
+        if not kids:
+            self.kind, self.fails = _LEAF, 0
+        elif seen & _LEAF:
+            # a support: its children see it as an isolated support exactly
+            # when neither a child (seen) nor the parent (q > 0) is one
+            self.kind = _SUPPORT if seen & _SUPPORT else _SUPPORT | _LONE
+            f = fails >> 1 & 1
+            self.fails = (f if seen & _SUPPORT else fails >> 2 & 1) | f << 1 | f << 2
+        else:
+            # neither a leaf nor a support: it must be a semi-support with an
+            # isolated-support neighbor, a lone-support child or the parent
+            # (q = 2; and then it is a semi-support)
+            self.kind = 0
+            f = fails & 1 | (0 if seen & _LONE else 1)
+            self.fails = f | f << 1 | (fails & 1) << 2
+
+
+def _folded(fold, states):
+    """(normalized state, total) of a vertex of weight 1 whose children
+    have the (normalized state, total) pairs states."""
+    state, offset = fold(1, range(len(states)), states)
+    return state, offset + sum([t for _, t in states])
+
+
+def _summary(seg):
+    """The _Subtree of the rooted subtree whose preorder has vertex i at
+    level seg[i], with its root at level 1, folded vertex by vertex:
+    stack[d - 1] collects the summaries of the open level-d vertex's
+    finished children."""
+    stack = [[]]
+    for d in seg[1:] + (2,):  # a last vertex at level 2 closes the rest
+        while len(stack) >= d:
+            kids = stack.pop()
+            stack[-1].append(_Subtree(kids))
+        stack.append([])
+    return _Subtree(stack[0])
+
+
+def _hanging(seq, memo):
+    """The _Subtree of each subtree hanging from the root of the level
+    sequence seq (a tuple), from left to right.  memo maps the level
+    sequence of such a subtree (from its level-1 root) to its summary; a
+    miss is folded by _summary."""
+    marked = seq + (1,)
+    kids = []
+    i, end = 1, len(seq)
+    while i < end:
+        j = marked.index(1, i + 1)
+        seg = seq[i:j]
+        s = memo.get(seg)
+        if s is None:
+            s = memo[seg] = _summary(seg)
+        kids.append(s)
+        i = j
+    return kids
+
+
+def _classify_levels(seq, memo):
+    """The CensusRecord of the tree with center-rooted level sequence seq,
+    read off the _Subtree of its root, which is folded from the summaries
+    of the subtrees hanging from it (_hanging; memo maps their level
+    sequences to their summaries, and grows with each new one).
+
+    The root counts as a leaf when it has at most one child.  The diameter
+    is the sum of the two highest subtree heights at the center: h and
+    h - 1 exactly when the tree is bicentral, and then the other center is
+    the first child, and the code is the smaller of the two center-rooted
+    ones.  A lower-family member's certificate peels seq's own rooting.
     """
     n = len(seq)
-    h = max(seq)
-    rest = max(seq[_second_subtree(seq):], default=0)
-    parent = _levels_parent(seq)
-    adj = [[] for _ in range(n)]
-    for i in range(1, n):
-        adj[parent[i]].append(i)
-        adj[i].append(parent[i])
-    order = range(n)
-    beta = _unit_value(order, parent, "beta")
-    gamma_t = _unit_value(order, parent, "gamma_t")
-    tcoi = _unit_value(order, parent, "tcoi")
-    classes = _vertex_classes(adj)
-    leaves = len(classes[0])
+    kids = _hanging(tuple(seq), memo)
+    root = _Subtree(kids)
+    h = root.height
+    rest = max([s.height for s in kids[1:]], default=-1) + 1
+    code = root.code
+    if rest < h:
+        first = kids[0]
+        others = list(root.kid_codes)
+        others.remove(first.code)
+        flipped = sorted(first.kid_codes + [b"(" + b"".join(others) + b")"])
+        code = min(code, b"(" + b"".join(flipped) + b")")
+    (a, _, c, _), total = root.gamma_t
+    gamma_t = (a if a < c else c) + total
+    leaves = root.leaves + (len(kids) == 1)
+    beta = root.beta[1]
+    tcoi = root.tcoi[1] if n >= 3 else None
     diam = h + rest
     in_beta = in_l = structural = certified = None
     if diam >= 3:
         in_beta = tcoi == n - beta
         in_l = tcoi == n - leaves
-        structural = _stated_upper_condition(adj, classes)
+        structural = not root.fails & 1
         # the record holds the diameter, lower bound and code, so a member
         # runs only the peel and replay, which raise InternalError on a defect
         if in_beta:
-            _certificate_steps(tree if tree is not None else _tree_from_levels(seq))
+            _certificate_steps(range(n), _levels_parent(seq))
         certified = in_beta
     return CensusRecord(
-        canon=_level_code(seq, rest < h),
+        canon=code,
         n=n,
         diameter=diam,
         num_leaves=leaves,
         beta=beta,
-        gamma_t=gamma_t,
+        gamma_t=None if gamma_t == _INF else gamma_t,
         tcoi=tcoi,
         in_t_beta=in_beta,
         in_t_l=in_l,
@@ -202,9 +317,10 @@ def _classify_levels(seq, tree=None):
 
 
 def classify(tree):
-    """The CensusRecord of any tree, from a center-rooted preorder of it."""
+    """The CensusRecord of any tree, from a center-rooted preorder of it,
+    with a memo of its own."""
     seq, _ = _center_levels(tree)
-    return _classify_levels(seq, tree)
+    return _classify_levels(seq, {})
 
 
 CSV_HEADER = [
@@ -298,11 +414,10 @@ def run_census(max_n):
         if first is None:
             first = {"check": name, "n": rec.n, "canon": rec.canon.hex()}
 
+    memo = {}
     for n in range(3, max_n + 1):
         for seq in _free_level_sequences(n):
-            # the subset checks' Tree, shared with a member's certificate
-            tree = _tree_from_levels(seq) if n <= DISTANCE_REMARK_MAX_N else None
-            rec = _classify_levels(seq, tree)
+            rec = _classify_levels(seq, memo)
             records.append(rec)
             if rec.diameter >= 3:
                 if not (rec.n - rec.beta <= rec.tcoi <= rec.n - rec.num_leaves):
@@ -311,10 +426,12 @@ def run_census(max_n):
                     hit("lower_characterization_mismatches", rec)
                 if rec.structural_tl != rec.in_t_l:
                     hit("upper_characterization_mismatches", rec)
-            if n <= DISTANCE_REMARK_MAX_N and not check_distance_remark(tree):
-                hit("distance_remark_violations", rec)
-            if n <= MINIMALITY_MAX_N and not check_minimality_agreement(tree):
-                hit("minimality_mismatches", rec)
+            if n <= DISTANCE_REMARK_MAX_N:
+                tree = _tree_from_levels(seq)
+                if not check_distance_remark(tree):
+                    hit("distance_remark_violations", rec)
+                if n <= MINIMALITY_MAX_N and not check_minimality_agreement(tree):
+                    hit("minimality_mismatches", rec)
     report = {
         "max_n": max_n,
         "tree_count": len(records),

@@ -74,17 +74,11 @@ def structural_upper_bound_check(tree):
     is necessary and not sufficient.  upper_family_check is the exact test.
     """
     _require_diameter(tree)
-    return _stated_upper_condition(tree.adj, _vertex_classes(tree.adj))
-
-
-def _stated_upper_condition(adj, classes):
-    """structural_upper_bound_check for the tree of diameter >= 3 with
-    neighbor lists adj, whose _vertex_classes are classes."""
-    leaves, supports, semi, isolated = classes
+    leaves, supports, semi, isolated = _vertex_classes(tree.adj)
     # the classes are disjoint, so they cover the tree iff their sizes add up
-    if len(leaves) + len(supports) + len(semi) != len(adj):
+    if len(leaves) + len(supports) + len(semi) != tree.n:
         return False
-    return all(not isolated.isdisjoint(adj[v]) for v in semi)
+    return all(not isolated.isdisjoint(tree.adj[v]) for v in semi)
 
 
 def upper_family_check(tree):
@@ -227,21 +221,26 @@ class _Reduction:
 
 class _Peel:
     """The tree being peeled, in the input tree's labels: adjacency sets
-    (empty for removed vertices), the number of vertices left, and the
-    leaf, support and semi-support classes as StructureReport defines them.
+    (empty for removed vertices) built from the input's rooting, the number
+    of vertices left, and the leaf, support and semi-support classes as
+    StructureReport defines them.
 
-    It keeps the input's rooting (order, and a copy of parent in which a
+    It keeps that rooting (order, and a copy of parent in which a
     vertex whose parent was removed has parent -1), down[w], the far end
     of w's subtree (_far_ends), lazy heaps that remove feeds: triples
     (_select_triple), ends (supports of degree 2), doubles (two leaves),
     and sets, a _Membership on the same parent list that remove cuts.
     """
 
-    def __init__(self, tree):
-        adj = self.adj = [set(a) for a in tree.adj]
-        self.n = tree.n
-        self.order, self.parent = tree.order, list(tree.parent)
-        self.leaves, self.supports, self.semi = map(set, _vertex_classes(tree.adj)[:3])
+    def __init__(self, order, parent):
+        self.order, self.parent = order, list(parent)
+        nbrs = [[] for _ in parent]
+        for v in order[1:]:
+            nbrs[v].append(parent[v])
+            nbrs[parent[v]].append(v)
+        adj = self.adj = [set(sorted(a)) for a in nbrs]  # filled as set(Tree.adj[v]) is
+        self.n = len(adj)
+        self.leaves, self.supports, self.semi = map(set, _vertex_classes(adj)[:3])
         self.ends = sorted(x for x in self.supports if len(adj[x]) == 2)
         self.doubles = sorted(x for x in self.supports if len(adj[x] & self.leaves) > 1)
         self.down = self.triples = self.sets = None
@@ -525,12 +524,13 @@ def decompose_to_p4(tree):
     (_certificate_steps), or None if the tree misses the lower bound."""
     if not attains_lower_bound(tree):
         return None
-    return Certificate(_certificate_steps(tree), canonical_code(tree))
+    return Certificate(_certificate_steps(tree.order, tree.parent), canonical_code(tree))
 
 
-def _certificate_steps(tree):
-    """The forward steps of a certificate for a tree of diameter >= 3 that
-    attains the lower bound.
+def _certificate_steps(order, parent):
+    """The forward steps of a certificate for the tree of diameter >= 3
+    rooted by (order, parent) as the DPs take them (Tree.order and
+    Tree.parent), that attains the lower bound.
 
     The proof's case analysis (_proof_move) peels one operation at a time
     down to P_4 on one mutable _Peel state, choosing each by structure
@@ -542,7 +542,7 @@ def _certificate_steps(tree):
     steps that do not replay are a defect in the moves and raise
     InternalError.
     """
-    state = _Peel(tree)
+    state = _Peel(order, parent)
     reductions = []
     try:
         while state.n > 4:
@@ -558,16 +558,16 @@ def _certificate_steps(tree):
             raise InternalError(
                 f"peeling ended at a tree of order {state.n} other than P_4"
             )
-        order = [ends[0]]
-        while len(order) < 4:
-            order.append(next(w for w in state.adj[order[-1]] if w not in order))
-        phi = {b: i for i, b in enumerate(order)}
+        p4 = [ends[0]]
+        while len(p4) < 4:
+            p4.append(next(w for w in state.adj[p4[-1]] if w not in p4))
+        phi = {b: i for i, b in enumerate(p4)}
         steps = []
         for red in reversed(reductions):
             labels = tuple(range(len(phi), len(phi) + len(red.removed)))
             phi.update(zip(red.removed, labels))
             steps.append(OperationStep(red.kind, phi[red.attach], labels))
-        mapped = sorted(tuple(sorted((phi[u], phi[v]))) for u, v in tree.edges)
+        mapped = sorted(tuple(sorted((phi[parent[v]], phi[v]))) for v in order[1:])
         if sorted(_replay(steps)) != mapped:
             raise CertificateMismatchError("replay is not the target under the relabeling")
         return tuple(steps)

@@ -311,7 +311,8 @@ def in_some_optimal_set(tree, v, which):
 # weight change at v, or a child added to or cut from v, changes the
 # normalized states of v and its ancestors up to the first one that holds,
 # and no other.  Each fold is one vertex of _beta_opt or _tcoi_opt, with
-# inf for an impossible state.
+# inf for an impossible state.  The census folds each distinct rooted
+# subtree once with unit weights, by these and _gamma_t_fold.
 # ---------------------------------------------------------------------------
 
 _INF = float("inf")
@@ -339,6 +340,28 @@ def _tcoi_fold(w, kids, state):
         a, b, o = x if x < y else y, b + co, o + ca
     m = a if a < o else o
     return (a - m, b - m, o - m), m
+
+
+def _gamma_t_fold(w, kids, state):
+    """((a, b, c, d) - m, m) of a vertex of weight w with children kids, in
+    _gamma_t_opt's states, where m is the least of the four: the state
+    that puts the whole subtree in the set is always finite, while
+    min(a, c), the optimum at a root, is inf on a single vertex."""
+    a, b, c, d = _INF, w, _INF, 0
+    for k in kids:
+        ca, cb, cc, cd = state[k][0]
+        in_c = ca if ca < cb else cb
+        out_c = cc if cc < cd else cd
+        any_c = in_c if in_c < out_c else out_c
+        x = a + any_c
+        y = b + in_c
+        z = c + (ca if ca < cc else cc)
+        v = d + ca
+        a, b, c, d = x if x < y else y, b + out_c, z if z < v else v, d + cc
+    m = a if a < b else b
+    x = c if c < d else d
+    m = m if m < x else x
+    return (a - m, b - m, c - m, d - m), m
 
 
 _FOLD = {"beta": _beta_fold, "tcoi": _tcoi_fold}

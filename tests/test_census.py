@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from treedom import census, trees
+from treedom import census, characterize, trees
 from treedom import (
     BadParameterError,
     TooLargeError,
     Tree,
+    attains_lower_bound,
     attains_upper_bound,
     canonical_code,
     check_distance_remark,
@@ -19,13 +20,17 @@ from treedom import (
     diameter,
     distance_matrix,
     enumerate_trees,
+    invariant_value,
     optimal_sets,
     path,
     prufer_decode,
+    q_tree,
     records_to_csv,
     run_census,
+    spider,
     star,
     structural_upper_bound_check,
+    structure,
 )
 
 # unlabeled trees per order (standard reference sequence)
@@ -155,36 +160,42 @@ class TestClassify:
         assert (rec.beta, rec.gamma_t, rec.tcoi) == (3, 4, 4)
 
     def test_each_invariant_computed_once(self, dp_calls):
-        # P_6 is outside the lower family, so no certificate is attempted
+        # every value is read off the memo's subtree summaries, each folded
+        # once per run, and a member's certificate asks _Membership walks,
+        # so no full DP fold runs, for a member (P_4) or for any census tree
         classify(path(6))
-        assert sorted(dp_calls) == ["_beta_opt", "_gamma_t_opt", "_tcoi_opt"]
+        classify(path(4))
+        records, _ = run_census(9)
+        assert sum(r.in_t_beta is True for r in records) > 0
+        assert dp_calls == []
 
     def test_one_structure_per_tree(self, counting):
-        # classify reads the vertex classes and the diameter off one
-        # center-rooted preorder: one classification, and one BFS (the
-        # center's), so no diameter BFS and no StructureReport
+        # classify reads the vertex classes and the diameter off the memo's
+        # subtree summaries of one center-rooted preorder: one BFS (the
+        # center's), no diameter BFS, no vertex classes, no StructureReport
         p6 = path(6)
-        counting(census, "_vertex_classes")
+        counting(characterize, "_vertex_classes")
+        counting(trees, "_vertex_classes")
         counting(trees, "structure")
         calls = counting(trees, "_bfs")
         classify(p6)
-        assert calls == {"_vertex_classes": 1, "structure": 0, "_bfs": 1}
+        assert calls == {"_vertex_classes": 0, "structure": 0, "_bfs": 1}
 
     def test_each_code_computed_once(self, counting):
-        # one encoding per tree, straight from its level sequence; the
-        # Tree-level canonical_code is not called on the sequence path
+        # each code is joined from the memo's subtree codes: no level-code
+        # pass, and no Tree-level canonical_code, on the sequence path
         counting(census, "canonical_code")
-        calls = counting(census, "_level_code")
+        calls = counting(trees, "_level_code")
         records, _ = run_census(9)
         assert len(records) == 93
-        assert calls == {"canonical_code": 0, "_level_code": 93}
+        assert calls == {"canonical_code": 0, "_level_code": 0}
 
     def test_sequence_core_matches_classify(self):
         # classify re-derives a center-rooted preorder from any labeling
         rng = random.Random(10)
         for n in range(1, 11):
             for seq in census._free_level_sequences(n):
-                want = census._classify_levels(seq)
+                want = census._classify_levels(seq, {})
                 perm = list(range(n))
                 rng.shuffle(perm)
                 tree = census._tree_from_levels(seq).relabeled(dict(enumerate(perm)))
@@ -192,9 +203,10 @@ class TestClassify:
                 assert want.canon == canonical_code(tree)
 
     def test_trees_built_only_where_needed(self, counting, monkeypatch):
-        # order 13 is above the subset checks' cap, so its only Trees are
-        # the lower-family members' (for decompose_to_p4); every smaller
-        # tree is built once, for the subset checks
+        # order 13 is above the subset checks' cap, and a member's
+        # certificate peels its level sequence's rooting, so no Tree of
+        # order 13 is built; every smaller tree is built once, for the
+        # subset checks
         built = []
         init = Tree.__post_init__
 
@@ -204,10 +216,97 @@ class TestClassify:
 
         monkeypatch.setattr(Tree, "__post_init__", counting_init)
         records, _ = run_census(13)
-        members = sum(1 for r in records if r.n == 13 and r.in_t_beta)
-        assert members > 0
-        assert built.count(13) == members
-        assert len(built) == members + report_rows(12)
+        assert any(r.n == 13 and r.in_t_beta for r in records)
+        assert 13 not in built
+        assert len(built) == report_rows(12)
+
+    def test_records_match_tree_level_references(self):
+        # every tree with n <= 12, relabeled at random: classify against
+        # the Tree-level DPs, code, classes, diameter and family checks
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for t in enumerate_trees(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                t = t.relabeled(dict(enumerate(perm)))
+                rec = classify(t)
+                diam = diameter(t)
+                assert (rec.canon, rec.n, rec.diameter) == (canonical_code(t), n, diam)
+                assert rec.num_leaves == len(structure(t).leaves)
+                assert rec.beta == invariant_value(t, "beta")
+                assert rec.gamma_t == (invariant_value(t, "gamma_t") if n >= 2 else None)
+                assert rec.tcoi == (invariant_value(t, "tcoi") if n >= 3 else None)
+                if diam >= 3:
+                    assert rec.structural_tl == structural_upper_bound_check(t), t
+                    assert rec.in_t_beta == rec.certificate_found == attains_lower_bound(t)
+                    assert rec.in_t_l == attains_upper_bound(t)
+
+    def test_smallest_records_pinned(self):
+        # the root counts as a leaf with at most one child; gamma_t is
+        # undefined on one vertex and tcoi on at most two
+        got = [classify(path(n)) for n in (1, 2, 3)]
+        assert got == [
+            census.CensusRecord(b"()", 1, 0, 1, 1, None, None, None, None, None, None),
+            census.CensusRecord(b"(())", 2, 1, 2, 1, 2, None, None, None, None, None),
+            census.CensusRecord(b"(()())", 3, 2, 2, 2, 2, 2, None, None, None, None),
+        ]
+
+    def test_each_hanging_subtree_summarized_once_per_run(self, monkeypatch):
+        # one memo miss per distinct subtree hanging from a center (by its
+        # level sequence) in the run, folded vertex by vertex, and one fold
+        # per record's root; a second run starts from an empty memo, and
+        # classify from its own
+        missed, built = [], []
+        summary, subtree = census._summary, census._Subtree
+
+        def counting_summary(seg):
+            missed.append(seg)
+            return summary(seg)
+
+        def counting_subtree(kids):
+            built.append(len(kids))
+            return subtree(kids)
+
+        monkeypatch.setattr(census, "_summary", counting_summary)
+        monkeypatch.setattr(census, "_Subtree", counting_subtree)
+        segments = set()
+        for n in range(3, 10):
+            for seq in census._free_level_sequences(n):
+                ones = [i for i in range(1, n) if seq[i] == 1] + [n]
+                segments.update(tuple(seq[i:j]) for i, j in zip(ones, ones[1:]))
+        for _ in range(2):
+            missed.clear()
+            built.clear()
+            records, _ = run_census(9)
+            assert sorted(missed) == sorted(segments)
+            assert len(built) == len(records) + sum(map(len, segments))
+        rng = random.Random(9)
+        seqs = [seq for n in range(3, 10) for seq in census._free_level_sequences(n)]
+        for seq, rec in zip(seqs, records):
+            perm = list(range(len(seq)))
+            rng.shuffle(perm)
+            t = census._tree_from_levels(seq).relabeled(dict(enumerate(perm)))
+            for _ in range(2):
+                missed.clear()
+                built.clear()
+                assert classify(t) == rec
+                assert len(set(missed)) == len(missed)
+                assert len(built) == 1 + sum(map(len, missed)) <= len(seq)
+
+    def test_deep_trees_match_tree_level_references(self):
+        # radius far above the recursion limit: the memo's folds and the
+        # peel run on explicit stacks, and each matches the Tree-level code
+        for t in (path(3000), comb(1500), q_tree(1499), spider([1200, 1000, 800])):
+            rec = classify(t)
+            assert rec.canon == canonical_code(t)
+            assert (rec.n, rec.diameter) == (t.n, diameter(t))
+            assert rec.num_leaves == len(structure(t).leaves)
+            assert rec.beta == invariant_value(t, "beta")
+            assert rec.gamma_t == invariant_value(t, "gamma_t")
+            assert rec.tcoi == invariant_value(t, "tcoi")
+            assert rec.structural_tl == structural_upper_bound_check(t)
+            assert rec.in_t_beta == rec.certificate_found == attains_lower_bound(t)
+            assert rec.in_t_l == attains_upper_bound(t)
 
     def test_star6_family_fields_absent(self):
         rec = classify(star(6))

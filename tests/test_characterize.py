@@ -459,7 +459,7 @@ class TestDecompose:
             rep = structure(t)
             if rep.semi_supports:
                 expected = reference_select_triple(t, rep)
-                got = characterize._select_triple(characterize._Peel(t))
+                got = characterize._select_triple(characterize._Peel(t.order, t.parent))
                 assert got == expected, t
                 checked += 1
         assert checked == 795
@@ -510,7 +510,8 @@ class TestDecompose:
         rng = random.Random(14)
         checked = 0
         for i in range(200):
-            state = characterize._Peel(random_tree(rng.randrange(6, 30), i))
+            t = random_tree(rng.randrange(6, 30), i)
+            state = characterize._Peel(t.order, t.parent)
             while state.n > 3:
                 u = rng.choice([v for v, a in enumerate(state.adj) if a])
                 w = rng.choice(sorted(state.adj[u]))
@@ -549,7 +550,7 @@ class TestDecompose:
         for t in wide_trees(5, 12):
             if not attains_lower_bound(t):
                 continue
-            state = characterize._Peel(t)
+            state = characterize._Peel(t.order, t.parent)
             while state.n > 4:
                 state.remove(characterize._proof_move(state).removed)
                 adj = state.adj
@@ -566,7 +567,8 @@ class TestDecompose:
     def test_peel_rejects_a_piece_not_hanging_by_one_edge(self, piece):
         # path 0-1-2-3-4: (1,) and (1, 2) split it, (0, 3) is two pieces,
         # 9 and -1 are not vertices
-        state = characterize._Peel(path(5))
+        p5 = path(5)
+        state = characterize._Peel(p5.order, p5.parent)
         with pytest.raises(NotATreeError):
             state.remove(piece)
 

@@ -220,6 +220,16 @@ class TestCensusVerify:
         assert r.stderr.startswith(b"error:")
         assert b"hold" not in r.stdout and b"canon" not in r.stdout
 
+    def test_package_runs_as_module(self):
+        # python -m treedom, with only src on the import path
+        src = os.path.dirname(os.path.dirname(treedom.__file__))
+        r = subprocess.run(
+            [sys.executable, "-m", "treedom", "--help"], capture_output=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert r.returncode == 0
+        assert b"verify" in r.stdout and r.stderr == b""
+
     def test_verify_clean_range(self, capsys):
         rc = main(["verify", "--max-n", "8"])
         out = capsys.readouterr().out

@@ -102,7 +102,7 @@ def test_peel_far_ends_match_bfs(data):
     # after it: every far end the peel reads off its maintained subtree
     # ends must still be the BFS one on what is left
     tree = data.draw(trees(lo=5, hi=30))
-    state = _Peel(tree)
+    state = _Peel(tree.order, tree.parent)
     if data.draw(st.booleans()):
         state.key_triples()
     for _ in range(data.draw(st.integers(1, 6))):
@@ -237,7 +237,7 @@ def test_membership_cuts_match_full_fold(data):
     # check does: after each cut its answer for every vertex left and both
     # invariants must be the full fold's on what is left
     tree = data.draw(trees(lo=5, hi=24))
-    state, removed = _Peel(tree), set()
+    state, removed = _Peel(tree.order, tree.parent), set()
     if data.draw(st.booleans()):
         state.sets = _Membership(state.parent, tree.order)
     for _ in range(data.draw(st.integers(1, 6))):
