@@ -7,18 +7,20 @@ family is exactly the trees reachable from P_4 by the operations O1-O4 at
 vertices in suitable optimal sets.  decompose_to_p4 finds such a sequence
 by the proof's case analysis, peeling one configuration at a time down to
 P_4 on one mutable state (_Peel) in the input's labels: adjacency sets,
-vertex classes updated near each removed edge, the input's rooting with
-each subtree's far end, and lazy heaps of the candidate moves, so a peel
-runs no BFS and no pass over the tree.  The one-link O2 check and the
-forward replay shared with verify_certificate, the only check of the
-steps, ask DP questions by walks up from a vertex (solvers._Membership)
-on the tree the peel cuts or the replay grows as lists; the replay's
-edges must be the input's under the peels' relabeling, so no Tree is
-built.  A member on which no move applies, or whose certificate does not
-replay, is a defect in the moves and raises InternalError (no tree of
-order <= 18 does).  structural_upper_bound_check tests the upper
-family's condition as the paper states it, which is necessary but not
-sufficient, and upper_family_check the corrected, exact one.
+vertex classes (if the rest's end of a removed edge keeps its class, no
+vertex changes class, and only otherwise are the classes within distance
+2 of it recomputed), the input's rooting with each subtree's far end, and
+lazy heaps of the candidate moves, so a peel runs no BFS and no pass over
+the tree.  The one-link O2 check and the forward replay shared with
+verify_certificate, the only check of the steps, ask DP questions by
+walks up from a vertex (solvers._Membership) on the tree the peel cuts or
+the replay grows as lists; the replay's edges must be the input's under
+the peels' relabeling, so no Tree is built.  A member on which no move
+applies, or whose certificate does not replay, is a defect in the moves
+and raises InternalError (no tree of order <= 18 does).
+structural_upper_bound_check tests the upper family's condition as the
+paper states it, which is necessary but not sufficient, and
+upper_family_check the corrected, exact one.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
 )
 from .generators import OP_KINDS, OP_SIZES, OperationStep, _attach, apply_operation, path
 from .solvers import _Membership, _unit_value, invariant_value
-from .trees import Tree, _vertex_classes, canonical_code
+from .trees import Tree, _vertex_classes, canonical_code, structure
 
 
 def _require_diameter(tree):
@@ -74,11 +76,11 @@ def structural_upper_bound_check(tree):
     is necessary and not sufficient.  upper_family_check is the exact test.
     """
     _require_diameter(tree)
-    leaves, supports, semi, isolated = _vertex_classes(tree.adj)
+    rep = structure(tree)
     # the classes are disjoint, so they cover the tree iff their sizes add up
-    if len(leaves) + len(supports) + len(semi) != tree.n:
+    if len(rep.leaves) + len(rep.supports) + len(rep.semi_supports) != tree.n:
         return False
-    return all(not isolated.isdisjoint(tree.adj[v]) for v in semi)
+    return all(not rep.isolated_supports.isdisjoint(tree.adj[v]) for v in rep.semi_supports)
 
 
 def upper_family_check(tree):
@@ -96,7 +98,7 @@ def upper_family_check(tree):
     x; so |I| <= |L| and tcoi >= n - |L|.
     """
     _require_diameter(tree)
-    leaves, supports, _, _ = _vertex_classes(tree.adj)
+    leaves, supports, _ = _vertex_classes(tree.adj)
     inner_degree = [
         sum(1 for w in tree.adj[u] if w not in leaves) for u in range(tree.n)
     ]
@@ -240,7 +242,7 @@ class _Peel:
             nbrs[parent[v]].append(v)
         adj = self.adj = [set(sorted(a)) for a in nbrs]  # filled as set(Tree.adj[v]) is
         self.n = len(adj)
-        self.leaves, self.supports, self.semi = map(set, _vertex_classes(adj)[:3])
+        self.leaves, self.supports, self.semi = _vertex_classes(adj)
         self.ends = sorted(x for x in self.supports if len(adj[x]) == 2)
         self.doubles = sorted(x for x in self.supports if len(adj[x] & self.leaves) > 1)
         self.down = self.triples = self.sets = None
@@ -276,9 +278,18 @@ class _Peel:
 
     def remove(self, piece):
         """Delete the piece, which must hang from the rest by exactly one
-        edge (so that both stay trees), else raise NotATreeError; then
-        update parent, sets, down, the classes and the heaps near the
-        rest's end of that edge."""
+        edge a-b (so that both stay trees), else raise NotATreeError; then
+        update parent, sets, down, the classes and the heaps near b.
+
+        Only b's neighbor set changes, and it loses exactly a.  A vertex's
+        leaf status depends on its own degree, its support status on its
+        neighbors' leaf status, and its semi-support status on its
+        neighbors' support status.  So if b keeps its leaf, support and
+        semi-support status, no other vertex changes class: no triple
+        starts, no support gains a second leaf, and the one heap update
+        left is to push b onto ends when b is a support whose degree has
+        dropped to 2.  Only when b's class changes are the classes within
+        distance 2 of b recomputed."""
         adj, parent, down = self.adj, self.parent, self.down
         piece = set(piece)
         for x in piece:
@@ -312,6 +323,18 @@ class _Peel:
                 break
             down[w] = best
             w = p
+        # b's class, read off its neighbors' classes, which hold while its
+        # leaf status does
+        if len(adj[b]) <= 1:
+            same = b in leaves
+        elif not leaves.isdisjoint(adj[b]):
+            same = b in supports
+        else:
+            same = b not in supports and (b in semi) != supports.isdisjoint(adj[b])
+        if same:
+            if len(adj[b]) == 2 and b in supports:
+                heappush(self.ends, b)
+            return
         # b's degree is the only one that changed: its leaf status can
         # change, hence the support status of b and its neighbors, hence
         # the semi-support status of everything within distance 2 of b
@@ -567,7 +590,11 @@ def _certificate_steps(order, parent):
             labels = tuple(range(len(phi), len(phi) + len(red.removed)))
             phi.update(zip(red.removed, labels))
             steps.append(OperationStep(red.kind, phi[red.attach], labels))
-        mapped = sorted(tuple(sorted((phi[parent[v]], phi[v]))) for v in order[1:])
+        mapped = []
+        for v in order[1:]:
+            x, y = phi[parent[v]], phi[v]
+            mapped.append((x, y) if x < y else (y, x))
+        mapped.sort()
         if sorted(_replay(steps)) != mapped:
             raise CertificateMismatchError("replay is not the target under the relabeling")
         return tuple(steps)

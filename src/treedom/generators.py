@@ -147,6 +147,10 @@ OP_PRECONDITION = {"O1": "tcoi", "O2": "tcoi", "O3": "tcoi", "O4": "beta"}
 # n, or -1 for the attachment vertex: O4's path h1-u1-u2-h2 hangs by u1
 _PIECES = {"O1": (-1,), "O2": (-1, 0), "O3": (-1, 0, 1, 2), "O4": (1, -1, 1, 2)}
 
+# the new vertices' offsets, the one below the attachment vertex first and
+# then the rest, each below an earlier one
+_PIECE_ORDER = {k: sorted(range(len(p)), key=lambda i: p[i] >= 0) for k, p in _PIECES.items()}
+
 
 @dataclass(frozen=True)
 class OperationStep:
@@ -212,8 +216,7 @@ def _attach(parent, edges, step, member):
     parents = [v if i < 0 else n + i for i in _PIECES[step.op_kind]]
     edges.extend((p, x) if p < x else (x, p) for x, p in enumerate(parents, n))
     parent.extend(parents)
-    # the new vertex below v first, then the rest, each below an earlier one
-    return sorted(expected, key=lambda x: parents[x - n] != v)
+    return [n + i for i in _PIECE_ORDER[step.op_kind]]
 
 
 # ---------------------------------------------------------------------------

@@ -345,30 +345,27 @@ class StructureReport:
 
 
 def _vertex_classes(adj):
-    """(leaves, supports, semi_supports, isolated_supports) as
-    StructureReport defines them, of the tree with neighbor lists adj,
-    without the diameter BFS."""
+    """(leaves, supports, semi_supports) as StructureReport defines them, of
+    the tree with neighbor lists adj, without the diameter BFS: new mutable
+    sets, which the certificate peel keeps and updates."""
     n = len(adj)
-    leaves = frozenset(v for v in range(n) if len(adj[v]) <= 1)
-    supports = frozenset(
-        v for v in range(n) if v not in leaves and not leaves.isdisjoint(adj[v])
-    )
-    semi = frozenset(
+    leaves = {v for v in range(n) if len(adj[v]) <= 1}
+    supports = {v for v in range(n) if v not in leaves and not leaves.isdisjoint(adj[v])}
+    semi = {
         v
         for v in range(n)
         if v not in leaves and v not in supports and not supports.isdisjoint(adj[v])
-    )
-    isolated = frozenset(v for v in supports if supports.isdisjoint(adj[v]))
-    return leaves, supports, semi, isolated
+    }
+    return leaves, supports, semi
 
 
 def structure(tree):
-    leaves, supports, semi, isolated = _vertex_classes(tree.adj)
+    leaves, supports, semi = _vertex_classes(tree.adj)
     return StructureReport(
-        leaves=leaves,
-        supports=supports,
-        semi_supports=semi,
-        isolated_supports=isolated,
+        leaves=frozenset(leaves),
+        supports=frozenset(supports),
+        semi_supports=frozenset(semi),
+        isolated_supports=frozenset(v for v in supports if supports.isdisjoint(tree.adj[v])),
         diameter=diameter(tree),
     )
 
@@ -421,7 +418,9 @@ def _center_levels(tree):
     while stack:
         v, p, d = stack.pop()
         seq.append(d)
-        stack.extend((w, v, d + 1) for w in adj[v] if w != p)
+        for w in adj[v]:
+            if w != p:
+                stack.append((w, v, d + 1))
     return seq, len(c) == 2
 
 

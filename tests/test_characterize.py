@@ -545,8 +545,10 @@ class TestDecompose:
         assert members == 307
 
     def test_peel_classes_match_recomputed(self, wide_trees):
-        # each removal reclassifies only near its edge; the classes must
-        # still equal their definitions on the whole remaining tree
+        # each removal reclassifies only near its edge, and only when the
+        # rest's end of it changes class; the classes must still equal their
+        # definitions on the whole remaining tree, and the lazy heaps hold
+        # every support of degree 2 (ends) and with two leaves (doubles)
         for t in wide_trees(5, 12):
             if not attains_lower_bound(t):
                 continue
@@ -562,6 +564,9 @@ class TestDecompose:
                 assert len(alive) == state.n, t
                 assert (state.leaves, state.supports, state.semi) == (
                     leaves, supports, semi), t
+                assert {s for s in supports if len(adj[s]) == 2} <= set(state.ends), t
+                assert {s for s in supports
+                        if len(adj[s] & leaves) > 1} <= set(state.doubles), t
 
     @pytest.mark.parametrize("piece", [(1,), (1, 2), (0, 3), (9,), (-1,)])
     def test_peel_rejects_a_piece_not_hanging_by_one_edge(self, piece):

@@ -94,25 +94,37 @@ def side_far_end(adj, a, b):
     return (-d, min(x for x in side if from_b[x] == d))
 
 
-@DETERMINISTIC
-@given(st.data())
-def test_peel_far_ends_match_bfs(data):
-    # cut drawn edges and remove either side, the one holding the input's
-    # root included, with the far ends set up before the first cut or
-    # after it: every far end the peel reads off its maintained subtree
-    # ends must still be the BFS one on what is left
-    tree = data.draw(trees(lo=5, hi=30))
-    state = _Peel(tree.order, tree.parent)
-    if data.draw(st.booleans()):
-        state.key_triples()
+def drawn_removals(data, state, least):
+    """Cut drawn edges of what the _Peel state has left and remove either
+    side, the one holding the input's root included, leaving at least
+    `least` vertices; yield after each removal, and stop early when
+    neither side of the drawn edge can go."""
     for _ in range(data.draw(st.integers(1, 6))):
+        if state.n <= least:
+            return
         edges = sorted((u, w) for u, a in enumerate(state.adj) for w in a)
         u, w = data.draw(st.sampled_from(edges))
         from_u, from_w = _bfs(state.adj, u)[2], _bfs(state.adj, w)[2]
         piece = [x for x, d in enumerate(from_u) if 0 <= d < from_w[x]]
-        if state.n - len(piece) < 2:
+        if state.n - len(piece) < least:
             piece = [x for x, d in enumerate(from_w) if 0 <= d < from_u[x]]
+        if state.n - len(piece) < least:
+            return
         state.remove(piece)
+        yield
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_peel_far_ends_match_bfs(data):
+    # with the far ends set up before the first cut or after it: every far
+    # end the peel reads off its maintained subtree ends must still be the
+    # BFS one on what is left
+    tree = data.draw(trees(lo=5, hi=30))
+    state = _Peel(tree.order, tree.parent)
+    if data.draw(st.booleans()):
+        state.key_triples()
+    for _ in drawn_removals(data, state, 2):
         if state.down is None:
             state.key_triples()
         # a vertex whose parent was removed has parent -1
@@ -121,8 +133,44 @@ def test_peel_far_ends_match_bfs(data):
         for a, nbrs in enumerate(state.adj):
             for b in nbrs:
                 assert state.far_end(a, b) == side_far_end(state.adj, a, b)
-        if state.n <= 2:
-            break
+
+
+def assert_peel_upkeep(state):
+    """The classes of a _Peel state equal their definitions on what is
+    left, and its lazy heaps hold every live candidate: each support of
+    degree 2 in ends, each support with two leaves in doubles and, once
+    keyed, each leaf-support-semi-support triple in triples."""
+    adj = state.adj
+    alive = [v for v, a in enumerate(adj) if a]
+    leaves = {v for v in alive if len(adj[v]) == 1}
+    supports = {v for v in alive if v not in leaves and adj[v] & leaves}
+    semi = {v for v in alive if v not in leaves | supports and adj[v] & supports}
+    assert len(alive) == state.n
+    assert (state.leaves, state.supports, state.semi) == (leaves, supports, semi)
+    assert {s for s in supports if len(adj[s]) == 2} <= set(state.ends)
+    assert {s for s in supports if len(adj[s] & leaves) > 1} <= set(state.doubles)
+    if state.triples is not None:
+        keyed = {(h, v) for _, h, _, v in state.triples}
+        for h in leaves:
+            (s,) = adj[h]
+            assert {(h, v) for v in adj[s] & semi} <= keyed
+
+
+@DETERMINISTIC
+@given(st.data())
+def test_peel_classes_and_heaps_after_drawn_removals(data):
+    # remove keeps each class and heap by what changes at the rest's end b
+    # of the cut edge, and most removals leave b's class, and so every
+    # class, as it was; after every drawn removal, with the triples keyed
+    # before the first cut or not at all, the classes must equal their
+    # definitions and the heaps hold every candidate
+    tree = data.draw(trees(lo=5, hi=30))
+    state = _Peel(tree.order, tree.parent)
+    if data.draw(st.booleans()):
+        state.key_triples()
+    assert_peel_upkeep(state)
+    for _ in drawn_removals(data, state, 3):
+        assert_peel_upkeep(state)
 
 
 def draw_valid_step(data, tree, kinds=OP_KINDS):
@@ -237,20 +285,11 @@ def test_membership_cuts_match_full_fold(data):
     # check does: after each cut its answer for every vertex left and both
     # invariants must be the full fold's on what is left
     tree = data.draw(trees(lo=5, hi=24))
-    state, removed = _Peel(tree.order, tree.parent), set()
+    state = _Peel(tree.order, tree.parent)
     if data.draw(st.booleans()):
         state.sets = _Membership(state.parent, tree.order)
-    for _ in range(data.draw(st.integers(1, 6))):
-        edges = sorted((u, w) for u, a in enumerate(state.adj) for w in a)
-        u, w = data.draw(st.sampled_from(edges))
-        from_u, from_w = _bfs(state.adj, u)[2], _bfs(state.adj, w)[2]
-        piece = [x for x, d in enumerate(from_u) if 0 <= d < from_w[x]]
-        if state.n - len(piece) < 3:
-            piece = [x for x, d in enumerate(from_w) if 0 <= d < from_u[x]]
-        if state.n - len(piece) < 3:
-            break
-        state.remove(piece)
-        removed.update(piece)
+    for _ in drawn_removals(data, state, 3):
+        removed = {x for x, a in enumerate(state.adj) if not a}
         if state.sets is None:
             state.sets = _Membership(state.parent, [x for x in tree.order if state.adj[x]])
         rest, label = tree.without(removed)

@@ -29,6 +29,7 @@ from treedom import (
     star,
     structure,
 )
+from treedom.characterize import _Peel
 from treedom.trees import GRAPH6_MAX_N, _bfs
 from conftest import trees_of_order
 
@@ -289,6 +290,25 @@ class TestStructure:
             assert not rep.supports & rep.semi_supports
             assert rep.isolated_supports <= rep.supports
             assert rep.diameter >= 1
+
+    def test_classes_frozen_and_unshared(self, corpus):
+        # the certificate peel keeps the mutable sets that the classes are
+        # built as; structure must still return frozensets equal to the
+        # definitions, and emptying a peel's sets must not reach a later call
+        for t in corpus(2, 9):
+            leaves = {v for v in range(t.n) if len(t.adj[v]) == 1}
+            supports = {v for v in range(t.n)
+                        if v not in leaves and leaves & set(t.adj[v])}
+            semi = {v for v in range(t.n)
+                    if v not in leaves | supports and supports & set(t.adj[v])}
+            isolated = {v for v in supports if not supports & set(t.adj[v])}
+            state = _Peel(t.order, t.parent)
+            for group in (state.leaves, state.supports, state.semi):
+                group.clear()
+            rep = structure(t)
+            got = (rep.leaves, rep.supports, rep.semi_supports, rep.isolated_supports)
+            assert got == (leaves, supports, semi, isolated), t
+            assert all(type(g) is frozenset for g in got), t
 
 
 class TestDistance:
