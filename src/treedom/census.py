@@ -42,7 +42,7 @@ from .solvers import (
     _neighbor_masks,
     _optimal_masks,
     _tcoi_fold,
-    _valid_chunks,
+    _valid_masks,
 )
 from .trees import Tree, _center_levels, canonical_code  # canonical_code re-exported
 
@@ -361,10 +361,9 @@ def check_distance_remark(tree):
             grown[u] |= ball[v]
             grown[v] |= ball[u]
         ball = grown
-    for hits in _optimal_masks(tree, "beta", SUBSET_CAP):
-        for m in hits.tolist():
-            if not all((m ^ 1 << v) & ball[v] for v in range(n) if m >> v & 1):
-                return False
+    for m in _optimal_masks(tree, "beta", SUBSET_CAP):
+        if not all((m ^ 1 << v) & ball[v] for v in range(n) if m >> v & 1):
+            return False
     return True
 
 
@@ -373,7 +372,7 @@ def check_minimality_agreement(tree):
     single-removal minimality on every total co-independent dominating set.
 
     D - {v} is one exactly when its mask is among the enumerated ones."""
-    masks = [m for hits in _valid_chunks(tree, "tcoi", SUBSET_CAP) for m in hits.tolist()]
+    masks = _valid_masks(tree, "tcoi", SUBSET_CAP)
     valid = set(masks)
     nb = _neighbor_masks(tree)
     for m in masks:

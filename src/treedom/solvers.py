@@ -11,8 +11,8 @@ Each invariant has two independent routes:
   a walk up from the vertex on a growing tree, _Membership), and
 * a brute-force oracle that enumerates every subset as a bit mask and
   evaluates the defining predicate directly, as bool algebra on bit
-  columns (column v holds bit v of every mask in a chunk; vectorized with
-  numpy, which only the oracle imports, on its first call).
+  columns (column v holds bit v of every mask in a chunk, as one Python
+  int).
 
 Witnesses are deterministic: among optimal sets the one whose sorted vertex
 list is lexicographically smallest is returned.
@@ -20,8 +20,9 @@ list is lexicographically smallest is returned.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .errors import (
@@ -209,6 +210,8 @@ _DP = {"beta": _beta_opt, "gamma_t": _gamma_t_opt, "tcoi": _tcoi_opt}
 
 
 def _check_defined(n, which):
+    if which not in _DP:
+        raise ValueError(f"unknown invariant {which!r}")
     if which == "gamma_t" and n < 2:
         raise UndefinedInvariantError("total domination is undefined on a single vertex")
     if which == "tcoi" and n <= 2:
@@ -289,10 +292,10 @@ def in_some_optimal_set(tree, v, which):
     which is "beta" (maximum independent sets) or "tcoi" (minimum total
     co-independent dominating sets).
     """
-    if which not in ("beta", "tcoi"):
-        raise ValueError(f"unsupported invariant {which!r}")
-    tree._check_vertex(v)
     _check_defined(tree.n, which)
+    if which == "gamma_t":
+        raise ValueError("unsupported invariant 'gamma_t'")
+    tree._check_vertex(v)
     # A set S weighs 2|S|, plus 1 (beta) or minus 1 (tcoi) if it holds v.
     # Only sets of optimal size reach the weighted optimum, so the optimum
     # is odd iff some optimal set holds v.  One DP pass.
@@ -448,79 +451,89 @@ def _neighbor_masks(tree):
     return nb
 
 
-# _COLS[v][m] is bit v of m for m < 2^k, v < k, k = min(largest order asked
-# so far, _CHUNK_BITS)
-_COLS = []
+@cache
+def _columns(k):
+    """(cols, sizes) over the masks below 2^k: bit m of cols[v] is bit v of
+    m, and bit m of sizes[s] is set iff m has s bits set."""
+    cols, sizes = [], [1]
+    for v in range(k):
+        w = 1 << v
+        cols = [c | c << w for c in cols] + [((1 << w) - 1) << w]
+        sizes = [a | b << w for a, b in zip(sizes + [0], [0] + sizes)]
+    return cols, sizes
+
+
+def _ones(x):
+    """The positions of x's set bits, ascending, found by a C-level scan."""
+    return [m.start() for m in re.finditer("1", bin(x)[:1:-1])]
 
 
 def _valid_chunks(tree, which, cap):
-    """Yield, in ascending order and chunk by chunk of 2^_CHUNK_BITS masks,
-    the uint64 subset masks (vertex v at bit v) that satisfy the invariant's
-    defining predicate, so that memory follows the hits, not 2^n.
+    """Yield (lo, ok), in ascending order and chunk by chunk of
+    2^_CHUNK_BITS masks, where bit i of ok is set iff the subset mask
+    lo + i (vertex v at bit v) satisfies the invariant's defining predicate,
+    so that callers may keep only the hits they need, not all 2^n masks.
 
     The predicate is bool algebra on the masks' bit columns: each low bit's
-    column is the same cached array in every chunk, and a higher bit is a
-    bool constant over a chunk."""
-    import numpy as np
-
+    column is the same cached int in every chunk, and a higher bit is all
+    ones or 0 over a chunk."""
+    _check_defined(tree.n, which)
     n = tree.n
     if n > cap:
         raise TooLargeError(f"subset enumeration capped at {cap} vertices, got {n}")
-    _check_defined(n, which)
     k = min(n, _CHUNK_BITS)
-    if len(_COLS) < k:
-        _COLS[:] = [np.tile(np.repeat([False, True], 1 << v), 1 << (k - 1 - v))
-                    for v in range(k)]
-    low, size = [c[:1 << k] for c in _COLS[:k]], 1 << k
+    low, size = _columns(k)[0], 1 << k
+    full = (1 << size) - 1
     for lo in range(0, 1 << n, size):
-        cols = low + [bool(lo >> v & 1) for v in range(k, n)]
+        cols = low + [full if lo >> v & 1 else 0 for v in range(k, n)]
         if which == "beta":
-            bad = np.zeros(size, dtype=bool)
+            bad = 0
             for u, v in tree.edges:
                 bad |= cols[u] & cols[v]
-            ok = ~bad
+            ok = full ^ bad
         else:
-            ok = np.ones(size, dtype=bool)
+            ok = full
             for v in range(n):
                 ok &= reduce(or_, [cols[w] for w in tree.adj[v]])
         if which == "tcoi":
             for u, v in tree.edges:
                 ok &= cols[u] | cols[v]
             if lo + size == 1 << n:
-                ok[-1] = False  # the full mask leaves no vertex out
-        hits = np.flatnonzero(ok).astype(np.uint64)
-        yield hits + np.uint64(lo) if lo else hits
+                ok &= full >> 1  # the full mask leaves no vertex out
+        yield lo, ok
 
 
-def _mask_sets(chunks, n):
-    return [frozenset(v for v in range(n) if int(m) >> v & 1)
-            for masks in chunks for m in masks]
+def _valid_masks(tree, which, cap):
+    return [lo + i for lo, ok in _valid_chunks(tree, which, cap) for i in _ones(ok)]
+
+
+def _mask_sets(masks):
+    return [frozenset(_ones(m)) for m in masks]
 
 
 def _optimal_masks(tree, which, cap):
-    # the optimal sets' masks, as uint64 arrays: keeps only the best-size
-    # hits of each chunk, dropping them all when a later chunk holds a
-    # better size
-    from numpy import bitwise_count
-
+    """The optimal sets' masks, ascending: each chunk keeps only its hits of
+    the best size so far, and a later chunk with a better size drops them."""
+    sizes = _columns(min(tree.n, _CHUNK_BITS))[1]
     maximize = which == "beta"
+    classes = range(len(sizes) - 1, -1, -1) if maximize else range(len(sizes))
     best, kept = None, []
-    for hits in _valid_chunks(tree, which, cap):
-        if hits.size == 0:
+    for lo, ok in _valid_chunks(tree, which, cap):
+        if not ok:
             continue
-        sizes = bitwise_count(hits)
-        size = int(sizes.max() if maximize else sizes.min())
+        s = next(s for s in classes if ok & sizes[s])
+        size = s + lo.bit_count()
         if best is None or (size > best if maximize else size < best):
             best, kept = size, []
         if size == best:
-            kept.append(hits[sizes == size])
+            kept += [lo + i for i in _ones(ok & sizes[s])]
     if best is None:
         raise UndefinedInvariantError(f"no feasible set exists for {which}")
     return kept
 
 
 def _optimal_sets(tree, which, cap):
-    return sorted(_mask_sets(_optimal_masks(tree, which, cap), tree.n), key=sorted)
+    return sorted(_mask_sets(_optimal_masks(tree, which, cap)), key=sorted)
 
 
 def brute_force(tree, which):
@@ -530,8 +543,6 @@ def brute_force(tree, which):
     are validated against.  The witness is the lexicographically smallest
     optimal set, as for the DP.  Capped at BRUTE_FORCE_CAP vertices.
     """
-    if which not in _DP:
-        raise ValueError(f"unknown invariant {which!r}")
     best = _optimal_sets(tree, which, BRUTE_FORCE_CAP)[0]
     return len(best), best
 
@@ -545,7 +556,7 @@ def optimal_sets(tree, which):
 def all_tcoi_sets(tree):
     """Every total co-independent dominating set of the tree (any size;
     capped at SUBSET_CAP vertices)."""
-    return _mask_sets(_valid_chunks(tree, "tcoi", SUBSET_CAP), tree.n)
+    return _mask_sets(_valid_masks(tree, "tcoi", SUBSET_CAP))
 
 
 # ---------------------------------------------------------------------------

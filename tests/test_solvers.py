@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -116,6 +117,17 @@ class TestBruteForce:
     def test_cap(self):
         with pytest.raises(TooLargeError):
             brute_force(path(25), "beta")
+
+    def test_unknown_invariant(self):
+        t = path(5)
+        for call in (
+            lambda: invariant_value(t, "bogus"),
+            lambda: optimal_sets(t, "bogus"),
+            lambda: brute_force(t, "bogus"),
+            lambda: in_some_optimal_set(t, 0, "bogus"),
+        ):
+            with pytest.raises(ValueError, match="unknown invariant 'bogus'"):
+                call()
 
     def test_matches_dp_with_matching_witnesses(self, corpus):
         # values must agree everywhere; both sides use the same tie-break,
@@ -283,30 +295,48 @@ class TestMemory:
 
     def test_oracle_keeps_only_best_size_hits(self):
         # star(20) has 2^19 + 1 independent sets and one maximum one;
-        # keeping every valid mask would peak near 9 MB.  The warm-up call
-        # pays numpy's lazy import outside the traced window.
+        # keeping every valid mask as an int would peak near 22 MB
         t = star(20)
-        brute_force(path(4), "beta")
         assert traced_peak(brute_force, t, "beta") < 4 << 20
 
 
 class TestLazyNumpy:
     def test_dp_route_does_not_import_numpy(self):
-        # numpy is most of the package's import time and only the subset
-        # oracle needs it; a fresh interpreter shows what the import loads
+        # only the tests' reference uses numpy; a fresh interpreter shows
+        # that neither the DPs, nor the subset oracle, nor the census load it
         src = os.path.dirname(os.path.dirname(treedom.__file__))
         code = (
             "import sys, treedom\n"
             "treedom.invariant_report(treedom.path(10))\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
             "treedom.brute_force(treedom.path(5), 'beta')\n"
-            "assert 'numpy' in sys.modules\n"
+            "treedom.run_census(8)\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         )
         r = subprocess.run(
             [sys.executable, "-c", code], capture_output=True,
             env=dict(os.environ, PYTHONPATH=src), timeout=60,
         )
         assert r.returncode == 0, r.stderr.decode()
+
+    def test_package_imports_only_stdlib(self):
+        # the package has no runtime dependency: every import names a
+        # standard-library module or the package itself
+        pkg = os.path.dirname(treedom.__file__)
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as f:
+                tree = ast.parse(f.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    mods = [node.module]
+                else:
+                    continue
+                for mod in mods:
+                    top = mod.split(".")[0]
+                    assert top in sys.stdlib_module_names or top == "treedom", (name, mod)
 
 
 def reference_valid_masks(tree, which):
@@ -339,26 +369,53 @@ class TestBitColumns:
 
     @pytest.mark.parametrize("which", ["beta", "gamma_t", "tcoi"])
     def test_valid_chunks_match_shift_and_mask(self, which):
-        import numpy as np
-
         least = {"beta": 1, "gamma_t": 2, "tcoi": 3}[which]
         for t in self.TREES:
             if t.n < least:
                 continue
-            chunks = list(solvers._valid_chunks(t, which, solvers.BRUTE_FORCE_CAP))
-            assert all(c.dtype == np.uint64 for c in chunks)
-            assert np.array_equal(np.concatenate(chunks), reference_valid_masks(t, which))
+            masks = solvers._valid_masks(t, which, solvers.BRUTE_FORCE_CAP)
+            assert masks == reference_valid_masks(t, which).tolist()
 
-    def test_columns_sized_by_largest_order(self, monkeypatch):
+    def test_columns_sized_by_largest_order(self):
         # a chunk holds min(2^n, 2^16) masks, and only bits below 16 vary
         # within one
-        monkeypatch.setattr(solvers, "_COLS", [])
-        brute_force(path(12), "beta")
-        assert [len(c) for c in solvers._COLS] == [1 << 12] * 12
-        brute_force(path(5), "tcoi")
-        assert [len(c) for c in solvers._COLS] == [1 << 12] * 12
-        brute_force(star(18), "gamma_t")
-        assert [len(c) for c in solvers._COLS] == [1 << 16] * 16
+        for k in range(11):
+            cols, sizes = solvers._columns(k)
+            assert cols == [sum(1 << m for m in range(1 << k) if m >> v & 1) for v in range(k)]
+            assert sizes == [
+                sum(1 << m for m in range(1 << k) if m.bit_count() == s) for s in range(k + 1)
+            ]
+        chunks = list(solvers._valid_chunks(star(18), "gamma_t", solvers.BRUTE_FORCE_CAP))
+        assert [lo for lo, _ in chunks] == [0, 1 << 16, 2 << 16, 3 << 16]
+        assert all(ok < 1 << (1 << 16) for _, ok in chunks)
+
+    def test_ones(self):
+        dense = (1 << (1 << 16)) - 1
+        assert solvers._ones(0) == []
+        assert solvers._ones(1) == [0]
+        assert solvers._ones(1 << 65535 | 1 << 300 | 4) == [2, 300, 65535]
+        assert solvers._ones(dense) == list(range(1 << 16))
+        assert solvers._ones(dense ^ 1 << 7) == [m for m in range(1 << 16) if m != 7]
+
+    @pytest.mark.parametrize("which", ["beta", "gamma_t", "tcoi"])
+    def test_optimal_masks_across_chunks(self, which):
+        pick = max if which == "beta" else min
+        for t in self.TREES[-4:] + [path(18)]:
+            ref = reference_valid_masks(t, which).tolist()
+            best = pick(m.bit_count() for m in ref)
+            got = solvers._optimal_masks(t, which, solvers.BRUTE_FORCE_CAP)
+            assert got == [m for m in ref if m.bit_count() == best]
+
+    def test_optimal_masks_drop_and_tie(self):
+        # star(17)'s leaf 16 is bit 16: the first chunk's best independent
+        # set has 15 members, and the second chunk's, with 16, drops it;
+        # path(18)'s maximum independent sets tie across the chunks that
+        # hold bit 16 or bit 17
+        cap = solvers.BRUTE_FORCE_CAP
+        assert [m >> 16 for m in solvers._optimal_masks(star(17), "beta", cap)] == [1]
+        assert max(m.bit_count() for m in solvers._valid_masks(star(17), "beta", cap)
+                   if m < 1 << 16) == 15
+        assert {m >> 16 for m in solvers._optimal_masks(path(18), "beta", cap)} == {1, 2}
 
 
 class TestBeyondCorpus:
