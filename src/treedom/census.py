@@ -32,7 +32,7 @@ import io
 from dataclasses import dataclass
 
 from .characterize import _certificate_steps
-from .errors import BadParameterError, TooLargeError
+from .errors import BadParameterError, InternalError, TooLargeError
 from .solvers import (
     _INF,
     SUBSET_CAP,
@@ -44,7 +44,7 @@ from .solvers import (
     _tcoi_fold,
     _valid_masks,
 )
-from .trees import Tree, _center_levels, canonical_code  # canonical_code re-exported
+from .trees import Tree, _center_code, _center_levels, canonical_code  # canonical_code re-exported
 
 ENUMERATION_CAP = 18
 
@@ -139,7 +139,7 @@ def enumerate_trees(n):
     return [_tree_from_levels(seq) for seq in _free_level_sequences(n)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusRecord:
     """Per-isomorphism-class row of the census table.
 
@@ -278,13 +278,7 @@ def _classify_levels(seq, memo):
     root = _Subtree(kids)
     h = root.height
     rest = max([s.height for s in kids[1:]], default=-1) + 1
-    code = root.code
-    if rest < h:
-        first = kids[0]
-        others = list(root.kid_codes)
-        others.remove(first.code)
-        flipped = sorted(first.kid_codes + [b"(" + b"".join(others) + b")"])
-        code = min(code, b"(" + b"".join(flipped) + b")")
+    code = _center_code(root.kid_codes, kids[0].kid_codes if rest < h else None)
     (a, _, c, _), total = root.gamma_t
     gamma_t = (a if a < c else c) + total
     leaves = root.leaves + (len(kids) == 1)
@@ -297,10 +291,14 @@ def _classify_levels(seq, memo):
         in_l = tcoi == n - leaves
         structural = not root.fails & 1
         # the record holds the diameter, lower bound and code, so a member
-        # runs only the peel and replay, which raise InternalError on a defect
-        if in_beta:
-            _certificate_steps(range(n), _levels_parent(seq))
+        # runs only the peel and replay, which raise InternalError on a
+        # defect: the member is then counted as uncertified
         certified = in_beta
+        if in_beta:
+            try:
+                _certificate_steps(range(n), _levels_parent(seq))
+            except InternalError:
+                certified = False
     return CensusRecord(
         canon=code,
         n=n,

@@ -211,20 +211,11 @@ def verify_certificate(cert, target):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Reduction:
-    """One peeled operation: kind, removed vertices in role order, and the
-    attachment vertex, all in the input tree's labels."""
-
-    kind: str
-    removed: tuple
-    attach: int
-
-
 class _Peel:
     """The tree being peeled, in the input tree's labels: adjacency sets
-    (empty for removed vertices) built from the input's rooting, the number
-    of vertices left, and the leaf, support and semi-support classes as
+    built from the input's rooting (one shared empty frozenset, gone, for
+    every removed vertex; nothing mutates it), the number of vertices
+    left, and the leaf, support and semi-support classes as
     StructureReport defines them.
 
     It keeps that rooting (order, and a copy of parent in which a
@@ -246,6 +237,7 @@ class _Peel:
         self.ends = sorted(x for x in self.supports if len(adj[x]) == 2)
         self.doubles = sorted(x for x in self.supports if len(adj[x] & self.leaves) > 1)
         self.down = self.triples = self.sets = None
+        self.gone = frozenset()
 
     def key_triples(self):
         """Set down and triples from one rerooting pass over what is left,
@@ -303,7 +295,7 @@ class _Peel:
         ((a, b),) = links
         leaves, supports, semi = self.leaves, self.supports, self.semi
         for x in piece:
-            adj[x] = set()
+            adj[x] = self.gone
         for group in (leaves, supports, semi):
             group -= piece
         adj[b].discard(a)
@@ -315,14 +307,11 @@ class _Peel:
         # a piece below b changes down on b and on ancestors until one holds
         w = b if down and parent[a] == b else -1
         while w >= 0:
-            best, p = (0, w), parent[w]
-            for c in adj[w]:
-                if c != p and (down[c][0] - 1, down[c][1]) < best:
-                    best = (down[c][0] - 1, down[c][1])
+            best = _subtree_end(adj, parent, down, w)
             if best == down[w]:
                 break
             down[w] = best
-            w = p
+            w = parent[w]
         # b's class, read off its neighbors' classes, which hold while its
         # leaf status does
         if len(adj[b]) <= 1:
@@ -390,10 +379,22 @@ def _q_chain_move(state, v, s, h):
     if len(chain) == 2 and state.sets is None:
         state.sets = _Membership(state.parent, [x for x in state.order if adj[x]])
     if len(chain) > 2 or any(state.sets.member(w, "tcoi") for w in adj[s] - {h, sr}):
-        return _Reduction("O2", (sr, hr), srm1)
+        return "O2", (sr, hr), srm1
     if adj[s] == {h, v, sr}:
-        return _Reduction("O4", (h, s, sr, hr), v)
+        return "O4", (h, s, sr, hr), v
     return None
+
+
+def _subtree_end(adj, parent, down, w):
+    """down[w], the far end of w's subtree seen from w (see _far_ends),
+    from down[c] of each child c."""
+    best = (0, w)
+    for c in adj[w]:
+        if c != parent[w]:
+            d, x = down[c]
+            if (d - 1, x) < best:
+                best = (d - 1, x)
+    return best
 
 
 def _far_ends(adj, order, parent):
@@ -414,13 +415,7 @@ def _far_ends(adj, order, parent):
     """
     down = [None] * len(parent)  # down[w]: w's subtree, seen from w
     for w in reversed(order):
-        best = (0, w)
-        for c in adj[w]:
-            if c != parent[w]:
-                d, x = down[c]
-                if (d - 1, x) < best:
-                    best = (d - 1, x)
-        down[w] = best
+        down[w] = _subtree_end(adj, parent, down, w)
     up = [None] * len(parent)  # up[w]: the rest of the tree, seen from parent[w]
     for p in order:
         first, second = (0, p), None
@@ -473,7 +468,8 @@ def _select_triple(state):
 
 def _proof_move(state):
     """The structured reduction for a lower-bound member with n > 4, as a
-    _Reduction, or None.
+    (kind, removed, attach) triple, or None: the operation, the vertices it
+    removes in role order, and its attachment vertex, in the input's labels.
 
     Case order: a support with two leaves loses one (reverse O1); with no
     semi-supports, an end support of the support subtree comes off with its
@@ -491,7 +487,7 @@ def _proof_move(state):
     while doubles and len(adj[doubles[0]] & leaves) < 2:
         heappop(doubles)
     if doubles:
-        return _Reduction("O1", (min(adj[doubles[0]] & leaves),), doubles[0])
+        return "O1", (min(adj[doubles[0]] & leaves),), doubles[0]
 
     if not semi:
         # No support has two leaves (the case above), so each has exactly
@@ -509,7 +505,7 @@ def _proof_move(state):
         s = ends[0]
         (h,) = adj[s] & leaves
         (x,) = adj[s] - leaves
-        return _Reduction("O2", (s, h), x)
+        return "O2", (s, h), x
 
     triple = _select_triple(state)
     if triple is None:
@@ -524,7 +520,7 @@ def _proof_move(state):
     if adj[s] != {h, v}:
         return None
     if len(adj[v] & supports) > 1:
-        return _Reduction("O2", (s, h), v)
+        return "O2", (s, h), v
     if len(adj[v]) != 2:
         return None
     # walk two more steps toward h2: to v's other neighbor p, then to q,
@@ -535,7 +531,7 @@ def _proof_move(state):
         x = parent[x]
     q = x if parent[x] == p else parent[p]
     if adj[p] == {v, q}:
-        return _Reduction("O3", (p, v, s, h), q)
+        return "O3", (p, v, s, h), q
     for w in sorted(adj[p] - {v, q}):
         if w in supports:
             return _q_chain_move(state, p, w, min(adj[w] & leaves))
@@ -566,16 +562,16 @@ def _certificate_steps(order, parent):
     InternalError.
     """
     state = _Peel(order, parent)
-    reductions = []
+    moves = []
     try:
         while state.n > 4:
-            red = _proof_move(state)
-            if red is None:
+            move = _proof_move(state)
+            if move is None:
                 raise InternalError(
                     f"no proof move applies to a lower-bound member of order {state.n}"
                 )
-            state.remove(red.removed)
-            reductions.append(red)
+            state.remove(move[1])
+            moves.append(move)
         ends = sorted(state.leaves)
         if state.n != 4 or len(ends) != 2:
             raise InternalError(
@@ -586,10 +582,10 @@ def _certificate_steps(order, parent):
             p4.append(next(w for w in state.adj[p4[-1]] if w not in p4))
         phi = {b: i for i, b in enumerate(p4)}
         steps = []
-        for red in reversed(reductions):
-            labels = tuple(range(len(phi), len(phi) + len(red.removed)))
-            phi.update(zip(red.removed, labels))
-            steps.append(OperationStep(red.kind, phi[red.attach], labels))
+        for kind, removed, attach in reversed(moves):
+            labels = tuple(range(len(phi), len(phi) + len(removed)))
+            phi.update(zip(removed, labels))
+            steps.append(OperationStep(kind, phi[attach], labels))
         mapped = []
         for v in order[1:]:
             x, y = phi[parent[v]], phi[v]
@@ -620,7 +616,7 @@ def exhaustive_sequence_search(tree, max_len=3):
     target_n = tree.n
     reach = [{0}]
     for _ in range(max_len):
-        reach.append(reach[-1] | {s + a for s in reach[-1] for a in (1, 2, 4)})
+        reach.append(reach[-1] | {s + a for s in reach[-1] for a in OP_SIZES.values()})
     results = set()
     start = path(4)
     if target_n == 4 and canonical_code(start) == target_code:

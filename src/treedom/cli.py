@@ -39,26 +39,16 @@ def _read_tree(path, fmt):
     return trees.parse_edge_list(text)
 
 
-def _emit_tree(tree, fmt, out):
-    if fmt == "graph6":
-        out.write(trees.serialize_graph6(tree) + "\n")
-    else:
-        out.write(trees.serialize_edge_list(tree))
-
-
 def _cmd_compute(args):
     tree = _read_tree(args.input, args.format)
-    report = solvers.invariant_report(tree)
+    d = solvers.invariant_report(tree).to_json_dict()
     if args.output == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        d = report.to_json_dict()
-        for key in ("n", "beta", "gamma_t", "tcoi"):
-            val = d[key]
-            print(f"{key}: {'undefined' if val is None else val}")
-        for key in ("beta_witness", "gamma_t_witness", "tcoi_witness"):
-            val = d[key]
-            print(f"{key}: {'undefined' if val is None else ' '.join(map(str, val))}")
+        print(json.dumps(d, indent=2))
+        return EXIT_OK
+    for key, val in d.items():
+        if isinstance(val, list):
+            val = " ".join(map(str, val))
+        print(f"{key}: {'undefined' if val is None else val}")
     return EXIT_OK
 
 
@@ -87,31 +77,33 @@ def _cmd_certify(args):
     return EXIT_OK
 
 
+def _family_f(args):
+    if args.base is None:
+        base = generators.path(args.b + args.d)
+    else:
+        base = _read_tree(args.base, args.format)
+    spec = generators.FamilyFSpec(base, range(args.b), range(args.b, base.n))
+    return generators.family_f(spec)
+
+
+# the generate families, in the order --help lists them
+_FAMILIES = {
+    "path": lambda args: generators.path(args.n),
+    "star": lambda args: generators.star(args.n),
+    "doublestar": lambda args: generators.double_star(args.a, args.b),
+    "comb": lambda args: generators.comb(args.k),
+    "qr": lambda args: generators.q_tree(args.r),
+    "familyf": _family_f,
+    "random": lambda args: generators.random_tree(args.n, args.seed),
+}
+
+
 def _cmd_generate(args):
-    if args.family == "path":
-        tree = generators.path(args.n)
-    elif args.family == "star":
-        tree = generators.star(args.n)
-    elif args.family == "doublestar":
-        tree = generators.double_star(args.a, args.b)
-    elif args.family == "comb":
-        tree = generators.comb(args.k)
-    elif args.family == "qr":
-        tree = generators.q_tree(args.r)
-    elif args.family == "familyf":
-        if args.base is not None:
-            base = _read_tree(args.base, args.format)
-        else:
-            base = generators.path(args.b + args.d)
-        spec = generators.FamilyFSpec(
-            base,
-            frozenset(range(args.b)),
-            frozenset(range(args.b, base.n)),
-        )
-        tree = generators.family_f(spec)
-    else:  # random
-        tree = generators.random_tree(args.n, args.seed)
-    _emit_tree(tree, args.to, sys.stdout)
+    tree = _FAMILIES[args.family](args)
+    if args.to == "graph6":
+        print(trees.serialize_graph6(tree))
+    else:
+        sys.stdout.write(trees.serialize_edge_list(tree))
     return EXIT_OK
 
 
@@ -180,10 +172,7 @@ def build_parser():
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("generate", help="emit a named tree")
-    p.add_argument(
-        "family",
-        choices=("path", "star", "doublestar", "comb", "qr", "familyf", "random"),
-    )
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--n", type=int, default=4, help="vertex count (path/star/random)")
     p.add_argument("--a", type=int, default=1, help="doublestar: leaves on one center")
     p.add_argument("--b", type=int, default=1, help="doublestar: leaves on the other; familyf: star-gadget hosts")

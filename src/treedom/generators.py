@@ -261,6 +261,4 @@ def random_tree(n, seed):
     if n < 1:
         raise BadParameterError("random_tree needs n >= 1")
     rng = random.Random(seed)
-    if n <= 2:
-        return path(n)
     return prufer_decode([rng.randrange(n) for _ in range(n - 2)], n)

@@ -19,10 +19,6 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-# A canonical code is an opaque byte string: two trees are isomorphic
-# exactly when their codes compare equal.
-CanonicalCode = bytes
-
 VertexSet = frozenset
 
 
@@ -100,16 +96,6 @@ class Tree:
         tree.__post_init__(trusted=True)
         return tree
 
-    @classmethod
-    def from_edges(cls, edges, n=None):
-        """Build a tree from an edge iterable; n defaults to max label + 1."""
-        edges = [tuple(e) for e in edges]
-        if n is None:
-            if not edges:
-                raise EmptyInputError("no edges given and no vertex count")
-            n = max(max(e) for e in edges) + 1
-        return cls(n, tuple(edges))
-
     def degree(self, v):
         self._check_vertex(v)
         return len(self.adj[v])
@@ -175,7 +161,7 @@ def parse_edge_list(text):
         edges.append((int(parts[0]), int(parts[1])))
     if not edges:
         raise EmptyInputError("no edges in input")
-    return Tree.from_edges(edges)
+    return Tree(max(max(e) for e in edges) + 1, tuple(edges))
 
 
 def serialize_edge_list(tree):
@@ -394,14 +380,20 @@ def _level_code(seq, bicentral):
             stack[-1].append(b"(" + b"".join(kids) + b")")
         stack.append([])
     root.sort()
-    code = b"(" + b"".join(root) + b")"
-    if not bicentral:
+    return _center_code(root, first if bicentral else None)
+
+
+def _center_code(kids, other=None):
+    """AHU code of a rooted tree from its root's sorted child codes kids.
+    When the root is one center of a bicentral tree, other is the other
+    center's sorted child codes (that center is a child), and the smaller
+    of the two center-rooted codes is taken."""
+    code = b"(" + b"".join(kids) + b")"
+    if other is None:
         return code
-    root.remove(b"(" + b"".join(first) + b")")
-    first.append(b"(" + b"".join(root) + b")")
-    first.sort()
-    other = b"(" + b"".join(first) + b")"
-    return other if other < code else code
+    rest = list(kids)
+    rest.remove(_center_code(other))
+    return min(code, _center_code(sorted(other + [_center_code(rest)])))
 
 
 def _center_levels(tree):

@@ -8,6 +8,7 @@ import pytest
 from treedom import census, characterize, trees
 from treedom import (
     BadParameterError,
+    InternalError,
     TooLargeError,
     Tree,
     attains_lower_bound,
@@ -27,11 +28,13 @@ from treedom import (
     q_tree,
     records_to_csv,
     run_census,
+    serialize_edge_list,
     spider,
     star,
     structural_upper_bound_check,
     structure,
 )
+from treedom.cli import main
 
 # unlabeled trees per order (standard reference sequence)
 FREE_TREE_COUNTS = {
@@ -372,6 +375,44 @@ class TestRunCensus:
                 "upper_characterization_mismatches"
             )
             assert not report["all_hold"]
+
+    def test_uncertified_member_is_counted(self, monkeypatch, tmp_path, capsys):
+        # a member whose peel or replay raises InternalError is counted as a
+        # lower characterization mismatch, and the run goes on past it
+        real, planted = census._certificate_steps, []
+
+        def failing(order, parent):
+            if len(parent) == 8 and not planted:
+                planted.append(list(parent))
+                raise InternalError("planted defect")
+            return real(order, parent)
+
+        monkeypatch.setattr(census, "_certificate_steps", failing)
+        records, report = run_census(9)
+        assert len(records) == report_rows(9)
+        assert report["counters"]["lower_characterization_mismatches"] == 1
+        assert not report["all_hold"]
+        (rec,) = [r for r in records if r.in_t_beta and not r.certificate_found]
+        assert report["first_counterexample"] == {
+            "check": "lower_characterization_mismatches", "n": 8, "canon": rec.canon.hex(),
+        }
+        row = records_to_csv(records).splitlines()[1 + records.index(rec)].split(",")
+        assert (row[0], row[7], row[10]) == (rec.canon.hex(), "true", "false")
+        # the CLI reports it (order 8 is clean otherwise), and certify on
+        # that tree, whose certificate core raises, is an internal error
+        for max_n in ("8", "9"):
+            planted.clear()
+            assert main(["verify", "--max-n", max_n]) == 1
+        assert capsys.readouterr().err.count("theorem violations found") == 2
+        parent = planted[0]
+        tree = Tree(8, tuple((parent[v], v) for v in range(1, 8)))
+        assert canonical_code(tree) == rec.canon
+        planted.clear()
+        monkeypatch.setattr(characterize, "_certificate_steps", failing)
+        f = tmp_path / "t.txt"
+        f.write_text(serialize_edge_list(tree))
+        assert main(["certify", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("internal error:")
 
     def test_clean_below_nine(self):
         _, report = run_census(8)

@@ -308,23 +308,21 @@ class TestDecompose:
         real = characterize._proof_move
 
         def defective(state):
-            red = real(state)
+            kind, removed, attach = real(state)
             if defect == "roles":
-                if red.kind != "O4":
-                    return red
-                return characterize._Reduction("O4", red.removed[::-1], red.attach)
+                return kind, (removed[::-1] if kind == "O4" else removed), attach
             if defect == "split":
                 inner = min(v for v, a in enumerate(state.adj) if len(a) > 1)
-                return characterize._Reduction(red.kind, (inner,), red.attach)
+                return kind, (inner,), attach
             if defect == "base":
                 # peeling the smallest leaf strips vertex 0 of its leaves and
                 # then takes vertex 0 itself, leaving the star K_1,3
                 leaf = min(state.leaves)
                 (attach,) = state.adj[leaf]
-                return characterize._Reduction("O1", (leaf,), attach)
+                return "O1", (leaf,), attach
             # a leaf lies in no minimum tcoi set of a double star or of P_4
-            leaf = min(state.leaves - set(red.removed))
-            return characterize._Reduction(red.kind, red.removed, leaf)
+            leaf = min(state.leaves - set(removed))
+            return kind, removed, leaf
 
         monkeypatch.setattr(characterize, "_proof_move", defective)
         t = double_star(3, 3)
@@ -486,7 +484,7 @@ class TestDecompose:
             if len(state.adj[s1]) == 2:
                 (h1,) = state.adj[s1] - {s}
                 rest = alive_tree(state.adj, {s1, h1})[0]
-                peeled = got is not None and got.removed == (s1, h1)
+                peeled = got is not None and got[1] == (s1, h1)
                 assert peeled == attains_lower_bound(rest), state.adj
                 links.append(peeled)
             return got
@@ -554,7 +552,7 @@ class TestDecompose:
                 continue
             state = characterize._Peel(t.order, t.parent)
             while state.n > 4:
-                state.remove(characterize._proof_move(state).removed)
+                state.remove(characterize._proof_move(state)[1])
                 adj = state.adj
                 alive = [v for v, a in enumerate(adj) if a]
                 leaves = {v for v in alive if len(adj[v]) == 1}

@@ -7,15 +7,20 @@ import pytest
 
 import treedom
 from treedom import (
+    FamilyFSpec,
     InternalError,
     Tree,
     certificate_from_text,
+    comb,
     double_star,
+    family_f,
     parse_edge_list,
     parse_graph6,
     path,
+    q_tree,
     random_tree,
     serialize_edge_list,
+    serialize_graph6,
     star,
     verify_certificate,
 )
@@ -34,6 +39,24 @@ class TestCompute:
         out = capsys.readouterr().out
         assert rc == 0
         assert "beta: 2" in out and "tcoi: 2" in out
+
+    @pytest.mark.parametrize(
+        "g6,want",
+        [
+            ("@", "n: 1\nbeta: 1\ngamma_t: undefined\ntcoi: undefined\n"
+                  "beta_witness: 0\ngamma_t_witness: undefined\ntcoi_witness: undefined\n"),
+            ("A_", "n: 2\nbeta: 1\ngamma_t: 2\ntcoi: undefined\n"
+                   "beta_witness: 0\ngamma_t_witness: 0 1\ntcoi_witness: undefined\n"),
+            ("Ch", "n: 4\nbeta: 2\ngamma_t: 2\ntcoi: 2\n"
+                   "beta_witness: 0 2\ngamma_t_witness: 1 2\ntcoi_witness: 1 2\n"),
+        ],
+        ids=["n1", "n2", "path4"],
+    )
+    def test_text_pinned(self, tmp_path, capsys, g6, want):
+        p = tmp_path / "t.g6"
+        p.write_text(g6 + "\n")
+        assert main(["compute", str(p)]) == 0
+        assert capsys.readouterr().out == want
 
     def test_json(self, tmp_path, capsys):
         rc = main(["compute", write_tree(tmp_path, path(6)), "--output", "json"])
@@ -129,6 +152,37 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert rc == 0
         assert parse_edge_list(out).n == n
+
+    @pytest.mark.parametrize(
+        "argv,build",
+        [
+            (["path", "--n", "7"], lambda: path(7)),
+            (["star", "--n", "6"], lambda: star(6)),
+            (["doublestar", "--a", "2", "--b", "3"], lambda: double_star(2, 3)),
+            (["comb", "--k", "4"], lambda: comb(4)),
+            (["qr", "--r", "5"], lambda: q_tree(5)),
+            (["familyf", "--b", "2", "--d", "3"], lambda: family_f(
+                FamilyFSpec(path(5), {0, 1}, {2, 3, 4}))),
+            (["random", "--n", "9", "--seed", "3"], lambda: random_tree(9, 3)),
+        ],
+        ids=["path", "star", "doublestar", "comb", "qr", "familyf", "random"],
+    )
+    @pytest.mark.parametrize("to", ["edgelist", "graph6"])
+    def test_families_match_builders(self, argv, build, to, capsys):
+        # each family's output is its library builder's serialization
+        tree = build()
+        want = serialize_edge_list(tree) if to == "edgelist" else serialize_graph6(tree) + "\n"
+        assert main(["generate", *argv, "--to", to]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_familyf_on_a_base_file(self, tmp_path, capsys):
+        # the first --b base vertices host star gadgets, the rest
+        # subdivided-star gadgets
+        base = Tree(4, ((0, 1), (1, 2), (1, 3)))
+        f = write_tree(tmp_path, base)
+        assert main(["generate", "familyf", "--base", f, "--b", "3"]) == 0
+        want = family_f(FamilyFSpec(base, {0, 1, 2}, {3}))
+        assert capsys.readouterr().out == serialize_edge_list(want)
 
     def test_graph6_output(self, capsys):
         rc = main(["generate", "path", "--n", "4", "--to", "graph6"])

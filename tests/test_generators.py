@@ -226,6 +226,12 @@ class TestRandomTrees:
     def test_single_vertex(self):
         assert random_tree(1, 0).n == 1
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_below_three_is_the_path(self, n):
+        # the empty Prufer sequence decodes to the only tree of that order
+        for seed in range(3):
+            assert random_tree(n, seed) == path(n)
+
     def test_prufer_roundtrip_known(self):
         t = prufer_decode([3, 3, 3, 4], 6)
         assert t.degree(3) == 4 and t.degree(4) == 2
