@@ -18,8 +18,12 @@ sequence with an explicit stack, each vertex's summary from its
 children's, so each distinct subtree hanging from a center is folded once
 per run, a record folds only the center, and the memo stays linear in
 the subtrees it holds.  classify reaches the same core through a
-center-rooted preorder, with a memo of its own.  A
-lower-family member's certificate peels the sequence's own rooting, and a
+center-rooted preorder, with a memo of its own, and certifies a
+lower-family member by a whole certificate peeled from the sequence's own
+rooting.  The census follows the paper's induction instead (_reduces): a
+member is certified when one proof move on that rooting leaves a smaller
+member certified earlier in the run, onto which the move's operation puts
+the piece back, so by induction from P_4 each one has a certificate.  A
 Tree is built only for the subset checks, which test bit masks
 (minimality asks is_minimal_tcoi_set's condition of each mask).  The run
 counts violations of the verified statements; all counters must be zero.
@@ -31,20 +35,23 @@ import csv
 import io
 from dataclasses import dataclass
 
-from .characterize import _certificate_steps
-from .errors import BadParameterError, InternalError, TooLargeError
+from .characterize import _certificate_steps, _Peel, _proof_move
+from .errors import BadParameterError, InternalError, TooLargeError, TreedomError
+from .generators import _PIECES, OP_PRECONDITION, OP_SIZES
 from .solvers import (
     _INF,
     SUBSET_CAP,
     _beta_fold,
     _gamma_t_fold,
+    _Membership,
     _minimal_mask,
     _neighbor_masks,
     _optimal_masks,
     _tcoi_fold,
     _valid_masks,
 )
-from .trees import Tree, _center_code, _center_levels, canonical_code  # canonical_code re-exported
+from .trees import Tree, _bfs, _center_code, _center_levels, _level_code
+from .trees import canonical_code  # re-exported
 
 ENUMERATION_CAP = 18
 
@@ -261,7 +268,54 @@ def _hanging(seq, memo):
     return kids
 
 
-def _classify_levels(seq, memo):
+def _has_certificate(seq):
+    """True iff the certificate core peels the lower-family member with
+    level sequence seq down to P_4, on seq's own rooting, and the steps
+    replay; a defect in the moves shows as InternalError."""
+    try:
+        _certificate_steps(range(len(seq)), _levels_parent(seq))
+    except InternalError:
+        return False
+    return True
+
+
+def _reduces(seq, window):
+    """True iff the lower-family member M with level sequence seq is P_4,
+    or one proof move on seq's own rooting peels a piece off M that leaves
+    a certified member M' and that the move's operation puts back on M':
+    the piece has the operation's size and the shape of its _PIECES
+    template at the attachment vertex, hangs by exactly one edge, the code
+    of M' is in window (order -> the codes of that order's certified
+    members), and the operation's precondition holds at the attachment
+    vertex of M'.  By induction from P_4, every member so certified has a
+    certificate (the paper's proof of the lower characterization)."""
+    n = len(seq)
+    if n == 4:
+        return True
+    state = _Peel(range(n), _levels_parent(seq))
+    adj = state.adj
+    try:
+        move = _proof_move(state)
+        if move is None:
+            return False
+        kind, removed, attach = move
+        vertices = (attach, *removed)
+        if (len(removed) != OP_SIZES[kind] or len(set(vertices)) != len(vertices)
+                or not all(0 <= x < n for x in vertices)
+                or any((attach if i < 0 else removed[i]) not in adj[x]
+                       for x, i in zip(removed, _PIECES[kind]))):
+            return False
+        state.remove(removed)
+    except TreedomError:
+        return False
+    code = _level_code(*_center_levels(adj, _bfs(adj, attach)[0][-1]))
+    if code not in window.get(n - len(removed), ()):
+        return False
+    sets = _Membership(state.parent, [x for x in state.order if adj[x]])
+    return sets.member(attach, OP_PRECONDITION[kind])
+
+
+def _classify_levels(seq, memo, certify=_has_certificate):
     """The CensusRecord of the tree with center-rooted level sequence seq,
     read off the _Subtree of its root, which is folded from the summaries
     of the subtrees hanging from it (_hanging; memo maps their level
@@ -271,7 +325,9 @@ def _classify_levels(seq, memo):
     is the sum of the two highest subtree heights at the center: h and
     h - 1 exactly when the tree is bicentral, and then the other center is
     the first child, and the code is the smaller of the two center-rooted
-    ones.  A lower-family member's certificate peels seq's own rooting.
+    ones.  A lower-family member is certified when certify(seq) holds: by
+    default _has_certificate, a whole certificate, which a lone tree
+    needs; the census passes _reduces.
     """
     n = len(seq)
     kids = _hanging(tuple(seq), memo)
@@ -290,15 +346,7 @@ def _classify_levels(seq, memo):
         in_beta = tcoi == n - beta
         in_l = tcoi == n - leaves
         structural = not root.fails & 1
-        # the record holds the diameter, lower bound and code, so a member
-        # runs only the peel and replay, which raise InternalError on a
-        # defect: the member is then counted as uncertified
-        certified = in_beta
-        if in_beta:
-            try:
-                _certificate_steps(range(n), _levels_parent(seq))
-            except InternalError:
-                certified = False
+        certified = in_beta and certify(seq)
     return CensusRecord(
         canon=code,
         n=n,
@@ -317,7 +365,7 @@ def _classify_levels(seq, memo):
 def classify(tree):
     """The CensusRecord of any tree, from a center-rooted preorder of it,
     with a memo of its own."""
-    seq, _ = _center_levels(tree)
+    seq, _ = _center_levels(tree.adj, tree.order[-1])
     return _classify_levels(seq, {})
 
 
@@ -394,10 +442,14 @@ def run_census(max_n):
 
     Returns (records, report).  The report counts, over all trees of
     diameter >= 3: violations of n - beta <= tcoi <= n - #leaves, trees
-    where certificate existence disagrees with attaining the lower bound,
-    and trees where the structural check disagrees with attaining the upper
-    bound.  The distance remark is checked for n <= 12 and minimality
-    agreement for n <= 10 (subset-exhaustive; see check_* functions).
+    that attain the lower bound but are not certified (certified is false
+    for a member that does not reduce by one proof move to a smaller
+    certified member, _reduces, and so for every member that reduces only
+    through it), and trees where the structural check disagrees with
+    attaining the upper bound.  A window keeps the certified members'
+    codes of the four orders below the current one.  The distance remark
+    is checked for n <= 12 and minimality agreement for n <= 10
+    (subset-exhaustive; see check_* functions).
     """
     if max_n > ENUMERATION_CAP:
         raise TooLargeError(f"census capped at {ENUMERATION_CAP} vertices, got {max_n}")
@@ -412,10 +464,19 @@ def run_census(max_n):
             first = {"check": name, "n": rec.n, "canon": rec.canon.hex()}
 
     memo = {}
+    window = {}  # order -> the codes of its certified members
+
+    def reduces(seq):
+        return _reduces(seq, window)
+
     for n in range(3, max_n + 1):
+        window.pop(n - 5, None)
+        codes = window[n] = set()
         for seq in _free_level_sequences(n):
-            rec = _classify_levels(seq, memo)
+            rec = _classify_levels(seq, memo, reduces)
             records.append(rec)
+            if rec.certificate_found:
+                codes.add(rec.canon)
             if rec.diameter >= 3:
                 if not (rec.n - rec.beta <= rec.tcoi <= rec.n - rec.num_leaves):
                     hit("bound_sandwich_violations", rec)

@@ -300,7 +300,13 @@ def diameter(tree):
 
 def center(tree):
     """The 1 or 2 middle vertices of a longest path."""
-    order, parent, _ = _bfs(tree.adj, tree.order[-1])
+    return _center(tree.adj, tree.order[-1])
+
+
+def _center(adj, end):
+    """center of the tree in adj that holds end, which must end a longest
+    path of it (the last vertex of any BFS of it does)."""
+    order, parent, _ = _bfs(adj, end)
     path = [order[-1]]
     while parent[path[-1]] >= 0:
         path.append(parent[path[-1]])
@@ -396,12 +402,13 @@ def _center_code(kids, other=None):
     return min(code, _center_code(sorted(other + [_center_code(rest)])))
 
 
-def _center_levels(tree):
-    """(seq, bicentral): the level sequence of a preorder of the tree rooted
-    at its center, as _level_code takes it."""
-    c = center(tree)
+def _center_levels(adj, end):
+    """(seq, bicentral): the level sequence of a preorder of the tree in adj
+    that holds end (see _center), rooted at its center, as _level_code
+    takes it.  No walk leaves that tree, so adj may also hold vertices with
+    no neighbors, such as those a certificate peel has removed."""
+    c = _center(adj, end)
     root, first = c[0], c[-1]
-    adj = tree.adj
     seq = [0]
     # the stack pops the other center first, so it becomes vertex 1
     stack = [(w, root, 1) for w in adj[root] if w != first]
@@ -422,7 +429,7 @@ def canonical_code(tree):
     The tree is rooted at its center; a bicentral tree takes the
     lexicographically smaller of its two center-rooted encodings.
     """
-    return _level_code(*_center_levels(tree))
+    return _level_code(*_center_levels(tree.adj, tree.order[-1]))
 
 
 def is_isomorphic(t1, t2):

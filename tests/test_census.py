@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -5,7 +6,7 @@ import random
 
 import pytest
 
-from treedom import census, characterize, trees
+from treedom import census, characterize, solvers, trees
 from treedom import (
     BadParameterError,
     InternalError,
@@ -185,13 +186,16 @@ class TestClassify:
         assert calls == {"_vertex_classes": 0, "structure": 0, "_bfs": 1}
 
     def test_each_code_computed_once(self, counting):
-        # each code is joined from the memo's subtree codes: no level-code
-        # pass, and no Tree-level canonical_code, on the sequence path
+        # each record's code is joined from the memo's subtree codes, with
+        # no Tree-level canonical_code; the one level-code pass per member
+        # of order > 4 encodes the smaller member its proof move leaves
         counting(census, "canonical_code")
-        calls = counting(trees, "_level_code")
+        counting(trees, "_level_code")
+        calls = counting(census, "_level_code")
         records, _ = run_census(9)
         assert len(records) == 93
-        assert calls == {"canonical_code": 0, "_level_code": 0}
+        assert sum(r.in_t_beta is True and r.n > 4 for r in records) == 35
+        assert calls == {"canonical_code": 0, "_level_code": 35}
 
     def test_sequence_core_matches_classify(self):
         # classify re-derives a center-rooted preorder from any labeling
@@ -377,42 +381,134 @@ class TestRunCensus:
             assert not report["all_hold"]
 
     def test_uncertified_member_is_counted(self, monkeypatch, tmp_path, capsys):
-        # a member whose peel or replay raises InternalError is counted as a
-        # lower characterization mismatch, and the run goes on past it
-        real, planted = census._certificate_steps, []
-
-        def failing(order, parent):
-            if len(parent) == 8 and not planted:
-                planted.append(list(parent))
-                raise InternalError("planted defect")
-            return real(order, parent)
-
-        monkeypatch.setattr(census, "_certificate_steps", failing)
-        records, report = run_census(9)
-        assert len(records) == report_rows(9)
-        assert report["counters"]["lower_characterization_mismatches"] == 1
+        # a member on which the proof move finds no piece does not reduce
+        # to a smaller certified member: it is counted as a lower
+        # characterization mismatch, and the run goes on past it.  Planted
+        # at the top order, no member reduces through it, and order 8 is
+        # clean otherwise, so it is the first counterexample
+        planted = plant_move(monkeypatch, 8, lambda move, state: None)
+        records, report = run_census(8)
+        assert len(records) == report_rows(8)
         assert not report["all_hold"]
-        (rec,) = [r for r in records if r.in_t_beta and not r.certificate_found]
+        rec = assert_one_planted(records, report, 8, planted)
         assert report["first_counterexample"] == {
             "check": "lower_characterization_mismatches", "n": 8, "canon": rec.canon.hex(),
         }
-        row = records_to_csv(records).splitlines()[1 + records.index(rec)].split(",")
-        assert (row[0], row[7], row[10]) == (rec.canon.hex(), "true", "false")
-        # the CLI reports it (order 8 is clean otherwise), and certify on
-        # that tree, whose certificate core raises, is an internal error
+        # the CLI reports it, and certify on that tree, whose certificate
+        # core raises, is an internal error
         for max_n in ("8", "9"):
-            planted.clear()
+            planted = plant_move(monkeypatch, 8, lambda move, state: None)
             assert main(["verify", "--max-n", max_n]) == 1
         assert capsys.readouterr().err.count("theorem violations found") == 2
-        parent = planted[0]
-        tree = Tree(8, tuple((parent[v], v) for v in range(1, 8)))
-        assert canonical_code(tree) == rec.canon
-        planted.clear()
+
+        def failing(order, parent):
+            raise InternalError("planted defect")
+
         monkeypatch.setattr(characterize, "_certificate_steps", failing)
         f = tmp_path / "t.txt"
-        f.write_text(serialize_edge_list(tree))
+        f.write_text(serialize_edge_list(member_tree(planted[0])))
         assert main(["certify", str(f)]) == 3
         assert capsys.readouterr().err.startswith("internal error:")
+
+    @pytest.mark.parametrize("kind, defect", [
+        # O4's path h1-u1-u2-h2 in reverse: u2 is not next to the attachment
+        ("O4", lambda move, state: (move[0], move[1][::-1], move[2])),
+        # the pendant 2-path without its leaf
+        ("O2", lambda move, state: (move[0], move[1][:1], move[2])),
+        # a non-leaf neighbor of the support in place of its leaf: the
+        # right shape, but it hangs by more than one edge
+        ("O1", lambda move, state: (
+            "O1", (min(x for x in state.adj[move[2]] if len(state.adj[x]) > 1),), move[2])),
+    ])
+    def test_wrong_piece_is_counted(self, monkeypatch, kind, defect):
+        planted = plant_move(monkeypatch, 12, defect, kind)
+        records, report = run_census(12)
+        assert_one_planted(records, report, 12, planted)
+
+    def test_failed_precondition_is_counted(self, monkeypatch):
+        # the smaller member's membership structure answers False once, at
+        # the first member of order 12
+        planted = []
+
+        class Refusing(solvers._Membership):
+            def member(self, v, which):
+                return False
+
+        def membership(parent, vertices):
+            if len(parent) == 12 and not planted:
+                planted.append(list(parent))
+                return Refusing(parent, vertices)
+            return solvers._Membership(parent, vertices)
+
+        monkeypatch.setattr(census, "_Membership", membership)
+        records, report = run_census(12)
+        assert_one_planted(records, report, 12, planted)
+
+    def test_smaller_member_outside_window_is_counted(self, monkeypatch):
+        # a smaller member of order 11 is left by an O1 move at order 12,
+        # the top order; its code is replaced by one no member has
+        planted, real = [], census._level_code
+
+        def level_code(seq, bicentral):
+            if len(seq) == 11 and not planted:
+                planted.append(seq)
+                return b"(" + real(seq, bicentral)
+            return real(seq, bicentral)
+
+        monkeypatch.setattr(census, "_level_code", level_code)
+        records, report = run_census(12)
+        assert planted
+        assert_one_planted(records, report, 12)
+
+    def test_defect_propagates_through_reductions(self, monkeypatch):
+        # a member planted at order 8 leaves uncertified exactly the members
+        # whose proof moves lead to it, directly or through others; each
+        # smaller member is found here from a Tree without the move's piece
+        planted = plant_move(monkeypatch, 8, lambda move, state: None)
+        records, report = run_census(10)
+        bad = canonical_code(member_tree(planted[0]))
+        down = {bad}
+        seqs = [seq for n in range(3, 11) for seq in census._free_level_sequences(n)]
+        for seq, rec in zip(seqs, records, strict=True):
+            if rec.in_t_beta and rec.n > 8:
+                state = characterize._Peel(range(rec.n), census._levels_parent(seq))
+                _, removed, _ = characterize._proof_move(state)
+                rest, _ = census._tree_from_levels(seq).without(removed)
+                if canonical_code(rest) in down:
+                    down.add(rec.canon)
+        assert len(down) == 12
+        assert report["counters"]["lower_characterization_mismatches"] == len(down)
+        assert {r.canon for r in uncertified(records)} == down
+        assert report["first_counterexample"] == {
+            "check": "lower_characterization_mismatches", "n": 8, "canon": bad.hex(),
+        }
+
+    def test_census_agrees_with_classify(self):
+        # the census certifies a member by one proof move onto a smaller
+        # certified member, classify by its whole certificate: every record
+        # is classify's on a random relabeling of its tree
+        rng = random.Random(23)
+        records, _ = run_census(12)
+        seqs = [seq for n in range(3, 13) for seq in census._free_level_sequences(n)]
+        for seq, rec in zip(seqs, records, strict=True):
+            perm = list(range(len(seq)))
+            rng.shuffle(perm)
+            assert classify(census._tree_from_levels(seq).relabeled(dict(enumerate(perm)))) == rec
+
+    def test_one_proof_move_per_member(self, counting):
+        counting(census, "_certificate_steps")
+        calls = counting(census, "_proof_move")
+        records, _ = run_census(14)
+        members = sum(r.in_t_beta is True and r.n > 4 for r in records)
+        assert calls == {"_certificate_steps": 0, "_proof_move": members}
+
+    def test_certified_members_per_order(self):
+        records, _ = run_census(16)
+        got = collections.Counter(r.n for r in records if r.certificate_found)
+        assert [got[n] for n in range(4, 17)] == [
+            1, 1, 3, 4, 10, 17, 38, 72, 161, 332, 750, 1630, 3730,
+        ]
+        assert sum(got.values()) == sum(r.in_t_beta is True for r in records)
 
     def test_clean_below_nine(self):
         _, report = run_census(8)
@@ -458,3 +554,43 @@ class TestRunCensus:
 
 def report_rows(max_n):
     return sum(FREE_TREE_COUNTS[n] for n in range(3, max_n + 1))
+
+
+def plant_move(monkeypatch, order, defect, kind=None):
+    """Make the census's proof move give defect(move, state) in place of
+    move on the first member of the given order whose move has the given
+    kind (any if None).  Returns a list that then holds that member's
+    parent list."""
+    real, planted = census._proof_move, []
+
+    def move(state):
+        got = real(state)
+        if state.n == order and not planted and kind in (None, got[0]):
+            planted.append(list(state.parent))
+            return defect(got, state)
+        return got
+
+    monkeypatch.setattr(census, "_proof_move", move)
+    return planted
+
+
+def member_tree(parent):
+    return Tree(len(parent), tuple((parent[v], v) for v in range(1, len(parent))))
+
+
+def uncertified(records):
+    return [r for r in records if r.in_t_beta and not r.certificate_found]
+
+
+def assert_one_planted(records, report, order, planted=None):
+    """A defect planted at the top order leaves one member uncertified, of
+    that order (the planted one, when planted holds its parent list),
+    counted once and with certified false in its CSV row; returns it."""
+    (rec,) = uncertified(records)
+    assert report["counters"]["lower_characterization_mismatches"] == 1
+    assert rec.n == order
+    if planted is not None:
+        assert canonical_code(member_tree(planted[0])) == rec.canon
+    row = records_to_csv(records).splitlines()[1 + records.index(rec)].split(",")
+    assert (row[0], row[7], row[10]) == (rec.canon.hex(), "true", "false")
+    return rec
